@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, NotNormalized, ZeroProbabilityBranch
-from .instances import Diagonal, ProjectorSpec
+from .instances import ProjectorSpec
 
 TRAJECTORY_CAP = 14
 DENSITY_CAP = 8
@@ -253,35 +253,48 @@ class DensityState:
 class DiagonalState:
     """Classical bit-string state for diagonal instances; measurement is
     deterministic set membership, replacement resamples uniform bits.  On
-    diagonal instances this is exactly the Moser-style resampling walk."""
+    diagonal instances this is exactly the Moser-style resampling walk.
+
+    Each projector arrives with its clause compiled (ProjectorSpec.clause):
+    a lookup is one itemgetter read of the support's bits, through a
+    memoryview of `bits` whose items are plain ints, and one set-membership
+    test against the forbidden bit tuples.  `bits` stays an int8 array;
+    assigning a new one rebuilds the view.
+    """
 
     def __init__(self, n: int, rng):
         self.n = n
         self.rng = rng
-        self.bits = np.asarray(rng.integers(0, 2, size=n), dtype=np.int8)
+        self.bits = rng.integers(0, 2, size=n)
+
+    @property
+    def bits(self) -> np.ndarray:
+        return self._bits
+
+    @bits.setter
+    def bits(self, value) -> None:
+        self._bits = np.asarray(value, dtype=np.int8)
+        self._cells = memoryview(self._bits)
 
     def copy(self) -> "DiagonalState":
         new = object.__new__(DiagonalState)
         new.n, new.rng, new.bits = self.n, self.rng, self.bits.copy()
         return new
 
-    @staticmethod
-    def _forbidden(spec: ProjectorSpec):
-        if not isinstance(spec.body, Diagonal):
-            raise TypeError("diagonal backend requires diagonal projector bodies")
-        return spec.body.forbidden
-
     def expectation(self, spec: ProjectorSpec) -> float:
-        word = "".join(str(int(self.bits[q])) for q in spec.support)
-        return 1.0 if word in self._forbidden(spec) else 0.0
+        clause = spec.clause
+        if clause is None:
+            raise TypeError("diagonal backend requires diagonal projector bodies")
+        return 1.0 if clause.read(self._cells) in clause.forbidden else 0.0
 
     def measure_projector(self, spec: ProjectorSpec) -> Outcome:
         e = self.expectation(spec)
         return Outcome(violated=int(e), probability=1.0)
 
     def replace_qubits(self, support) -> None:
+        cells, rng = self._cells, self.rng
         for q in support:
-            self.bits[q] = int(self.rng.integers(0, 2))
+            cells[q] = int(rng.integers(0, 2))
 
 
 class DiagonalDistribution:
@@ -299,11 +312,13 @@ class DiagonalDistribution:
         return DiagonalDistribution(self.n, self.probs.copy())
 
     def _mask(self, spec: ProjectorSpec) -> np.ndarray:
+        if spec.clause is None:
+            raise TypeError("diagonal backend requires diagonal projector bodies")
         mask = np.zeros((2,) * self.n, dtype=bool)
-        for pattern in DiagonalState._forbidden(spec):
+        for pattern in spec.clause.patterns:
             idx = [slice(None)] * self.n
-            for q, c in zip(spec.support, pattern):
-                idx[q] = int(c)
+            for q, b in zip(spec.support, pattern):
+                idx[q] = b
             mask[tuple(idx)] = True
         return mask
 

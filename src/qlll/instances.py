@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -51,18 +52,60 @@ class Explicit:
     matrix: np.ndarray
 
 
+def _parse_patterns(forbidden, k: int) -> frozenset:
+    """Forbidden bit-strings as tuples of 0/1 ints in support order; the one
+    place where the string form of a diagonal body is read."""
+    parsed = set()
+    for pattern in forbidden:
+        if len(pattern) != k or any(c not in "01" for c in pattern):
+            raise MalformedProjector(f"bad forbidden pattern {pattern!r} for k={k}")
+        parsed.add(tuple(int(c) for c in pattern))
+    return frozenset(parsed)
+
+
+def _read_no_bits(cells) -> tuple:
+    return ()
+
+
+class ClauseLookup(NamedTuple):
+    """A diagonal clause compiled for bit-vector states.
+
+    read(cells) picks the support's bits out of an indexable bit vector and
+    the clause is violated exactly when that value is in forbidden.  read is
+    an operator.itemgetter (a module-level function for an empty support), so
+    the lookup pickles with its ProjectorSpec.
+    """
+
+    read: Callable
+    forbidden: frozenset  # values of read(): bit tuples, bare ints when k == 1
+    patterns: frozenset   # forbidden bit tuples in support order, any k
+
+
+def _compile_clause(support: tuple, body: Diagonal) -> ClauseLookup:
+    patterns = _parse_patterns(body.forbidden, len(support))
+    if not support:
+        return ClauseLookup(_read_no_bits, patterns, patterns)
+    if len(support) == 1:
+        # itemgetter with one index returns the item itself, not a 1-tuple
+        return ClauseLookup(itemgetter(support[0]),
+                            frozenset(p[0] for p in patterns), patterns)
+    return ClauseLookup(itemgetter(*support), patterns, patterns)
+
+
 @dataclass(eq=False)
 class ProjectorSpec:
     """One projector: an ordered qubit support plus a body in one of three forms.
 
     Basis convention: support[0] is the most significant bit of the local
     2^k-dimensional index, matching the left-to-right reading of the
-    forbidden bit-strings.
+    forbidden bit-strings.  A diagonal body is compiled into `clause` once,
+    at construction; `clause` is None for every other body.
     """
 
     support: tuple
     body: object  # Diagonal | Rotated | Explicit
     _mat: np.ndarray | None = field(default=None, repr=False)
+    clause: ClauseLookup | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.support = tuple(int(q) for q in self.support)
@@ -70,6 +113,8 @@ class ProjectorSpec:
             raise MalformedProjector(f"duplicate qubits in support {self.support}")
         if any(q < 0 for q in self.support):
             raise MalformedProjector(f"negative qubit index in support {self.support}")
+        if isinstance(self.body, Diagonal):
+            self.clause = _compile_clause(self.support, self.body)
 
     @property
     def k(self) -> int:
@@ -97,10 +142,8 @@ def _materialize_body(body, k: int) -> np.ndarray:
     dim = 2 ** k
     if isinstance(body, Diagonal):
         mat = np.zeros((dim, dim), dtype=complex)
-        for pattern in body.forbidden:
-            if len(pattern) != k or any(c not in "01" for c in pattern):
-                raise MalformedProjector(f"bad forbidden pattern {pattern!r} for k={k}")
-            idx = int(pattern, 2)
+        for bits in _parse_patterns(body.forbidden, k):
+            idx = sum(b << (k - 1 - i) for i, b in enumerate(bits))
             mat[idx, idx] = 1.0
         return mat
     if isinstance(body, Rotated):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InsufficientTrials
 from .instances import Instance, InstanceParams, LOG2E
@@ -29,6 +30,12 @@ class HistoryNode:
     failures: int
     result: str          # "Success" | "Failure"
 
+    @cached_property
+    def entropy(self) -> float:
+        """Von Neumann entropy of the leaf state, computed once and shared by
+        the claim checks."""
+        return von_neumann_entropy(self.state.rho)
+
 
 @dataclass
 class HistoryTree:
@@ -40,23 +47,25 @@ class HistoryTree:
     pruned_mass: float
 
 
-def _walk_branches(instance, orders, threshold, root, stock_base=None):
+def _walk_branches(instance, orders, threshold, root, on_leaf,
+                   stock_base=None):
     """Enumerate every measurement history of the FIX loop.
 
     The recursion is flattened into a work list of pending FIX calls; a
     violation prepends the neighborhood traversal.  With stock_base set,
     replacement swaps the measured qubits into fresh stock slots (so the
     post-branch states carry the full bookkeeping register); without it,
-    replacement re-mixes the qubits in place.
+    replacement re-mixes the qubits in place.  Each leaf is handed to
+    on_leaf(branch_string, probability, state, failures, result) and not
+    kept; returns the pruned probability mass.
     """
     projectors = instance.projectors
-    leaves = []
     pruned = 0.0
     stack = [(root, tuple(range(instance.m)), 0, 0, (), 1.0)]
     while stack:
         state, worklist, stock_used, t, sbar, prob = stack.pop()
         if not worklist:
-            leaves.append(HistoryNode(sbar, prob, state, t, "Success"))
+            on_leaf(sbar, prob, state, t, "Success")
             continue
         j = worklist[0]
         branches = state.measure_branches(projectors[j])
@@ -68,7 +77,7 @@ def _walk_branches(instance, orders, threshold, root, stock_base=None):
                 t2 = t + 1
                 if t2 == threshold:
                     # abort immediately; the final replacement never happens
-                    leaves.append(HistoryNode(s2, p2, post, t2, "Failure"))
+                    on_leaf(s2, p2, post, t2, "Failure")
                     continue
                 support = projectors[j].support
                 if stock_base is not None:
@@ -83,7 +92,7 @@ def _walk_branches(instance, orders, threshold, root, stock_base=None):
                               used2, t2, s2, p2))
             else:
                 stack.append((post, worklist[1:], stock_used, t, s2, p2))
-    return leaves, pruned
+    return pruned
 
 
 def enumerate_history_tree(instance: Instance, config: SolverConfig,
@@ -105,8 +114,10 @@ def enumerate_history_tree(instance: Instance, config: SolverConfig,
     if config.traversal != "ascending":
         raise ValueError("history enumeration supports ascending traversal only")
     orders = [list(nb) for nb in instance.neighborhood]
-    leaves, pruned = _walk_branches(
+    leaves = []
+    pruned = _walk_branches(
         instance, orders, threshold, root,
+        lambda *leaf: leaves.append(HistoryNode(*leaf)),
         stock_base=instance.n if materialize_stock else None)
     return HistoryTree(leaves=leaves, initial_entropy=float(d), n=instance.n,
                        stock_N=stock_n, threshold_T=threshold,
@@ -128,10 +139,12 @@ def enumerate_outcome_distribution(instance: Instance, threshold: int,
         root = DiagonalDistribution(instance.n)
     else:
         raise ValueError(f"unknown enumeration backend {backend!r}")
-    leaves, _ = _walk_branches(instance, orders, threshold, root)
     dist = {}
-    for leaf in leaves:
-        dist[leaf.branch_string] = dist.get(leaf.branch_string, 0.0) + leaf.probability
+
+    def fold(branch_string, probability, _state, _failures, _result):
+        dist[branch_string] = dist.get(branch_string, 0.0) + probability
+
+    _walk_branches(instance, orders, threshold, root, fold)
     return dist
 
 
@@ -143,9 +156,8 @@ def check_entropy_claim(tree: HistoryTree) -> dict:
     S(initial) <= H({p}) + sum p S(rho_branch), within 1e-9 slack."""
     probs = [leaf.probability for leaf in tree.leaves]
     outcome_entropy = shannon_entropy(probs, atol=ENTROPY_SLACK + tree.pruned_mass)
-    mean_branch_entropy = sum(
-        leaf.probability * von_neumann_entropy(leaf.state.rho)
-        for leaf in tree.leaves)
+    mean_branch_entropy = sum(leaf.probability * leaf.entropy
+                              for leaf in tree.leaves)
     lhs = tree.initial_entropy
     rhs = outcome_entropy + mean_branch_entropy
     return {"claim": "entropy", "lhs": lhs, "rhs": rhs,
@@ -164,7 +176,7 @@ def check_history_count_bound(tree: HistoryTree, params: InstanceParams) -> dict
         worst_length = max(worst_length, length_slack)
         if length_slack > 0:
             violations.append(("length", leaf.branch_string))
-        entropy = von_neumann_entropy(leaf.state.rho)
+        entropy = leaf.entropy
         bound = tree.stock_N + tree.n - t * (params.k - math.log2(params.r))
         entropy_slack = entropy - bound
         worst_entropy = max(worst_entropy, entropy_slack)

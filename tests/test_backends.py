@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qlll.backends import (
     von_neumann_entropy,
 )
 from qlll.errors import DimensionTooLarge, NotNormalized
-from qlll.instances import Diagonal, Explicit, ProjectorSpec
+from qlll.instances import Diagonal, Explicit, ProjectorSpec, Rotated
 
 
 def diag(support, *patterns):
@@ -200,3 +201,82 @@ class TestExpectation:
         dens = DensityState(3, rho=np.outer(psi, psi.conj()))
         spec = diag([0, 2], "01", "10")
         assert traj.expectation(spec) == pytest.approx(dens.expectation(spec))
+
+
+def string_join_expectation(bits, spec):
+    """The diagonal lookup as first written: join the support's bits into a
+    string and test it against the forbidden strings."""
+    word = "".join(str(int(bits[q])) for q in spec.support)
+    return 1.0 if word in spec.body.forbidden else 0.0
+
+
+@st.composite
+def clause_and_bits(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    support = draw(st.permutations(range(n)))[:k]
+    patterns = draw(st.sets(st.text("01", min_size=k, max_size=k),
+                            max_size=2 ** k))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return ProjectorSpec(tuple(support), Diagonal(frozenset(patterns))), bits
+
+
+class TestCompiledClause:
+    @given(clause_and_bits())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_string_join(self, case):
+        spec, bits = case
+        state = DiagonalState(len(bits), np.random.default_rng(0))
+        state.bits[:] = bits
+        want = string_join_expectation(state.bits, spec)
+        assert state.expectation(spec) == want
+        assert state.measure_projector(spec).violated == int(want)
+
+    @given(clause_and_bits())
+    @settings(max_examples=100, deadline=None)
+    def test_distribution_mask_matches_string_join(self, case):
+        spec, bits = case
+        # a point mass on `bits` has expectation 1 exactly when it violates
+        probs = np.zeros((2,) * len(bits))
+        probs[tuple(bits)] = 1.0
+        dist = DiagonalDistribution(len(bits), probs)
+        assert dist.expectation(spec) == string_join_expectation(bits, spec)
+
+    def test_empty_support(self):
+        state = DiagonalState(2, np.random.default_rng(0))
+        assert state.expectation(ProjectorSpec((), Diagonal(frozenset()))) == 0.0
+        assert state.expectation(ProjectorSpec((), Diagonal(frozenset({""})))) == 1.0
+
+    def test_replacing_bits_rebuilds_lookup(self):
+        state = DiagonalState(3, np.random.default_rng(0))
+        spec = diag([2, 0], "10")
+        state.bits = np.array([0, 1, 1])
+        assert state.bits.dtype == np.int8
+        assert state.expectation(spec) == 1.0
+        state.bits[0] = 1
+        assert state.expectation(spec) == 0.0
+        clone = state.copy()
+        clone.replace_qubits([0, 1, 2])
+        assert list(state.bits) == [1, 1, 1]
+
+    def test_non_diagonal_body_raises(self):
+        state = DiagonalState(2, np.random.default_rng(0))
+        rotated = ProjectorSpec((0,), Rotated(Diagonal(frozenset({"1"})),
+                                               (np.eye(2),)))
+        for spec in (rotated, ProjectorSpec((0,), Explicit(np.eye(2)))):
+            with pytest.raises(TypeError):
+                state.expectation(spec)
+            with pytest.raises(TypeError):
+                DiagonalDistribution(2).expectation(spec)
+
+    @pytest.mark.parametrize("support", [(4,), (1, 3), (0, 2, 5)])
+    def test_used_spec_pickles(self, support):
+        spec = diag(support, "1" * len(support))
+        state = DiagonalState(6, np.random.default_rng(0))
+        state.bits[:] = 1
+        assert state.expectation(spec) == 1.0
+        back = pickle.loads(pickle.dumps(spec))
+        assert back.clause.forbidden == spec.clause.forbidden
+        assert state.expectation(back) == 1.0
+        state.bits[support[0]] = 0
+        assert state.expectation(back) == 0.0

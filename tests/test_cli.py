@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,21 @@ def test_run_parallel_matches_serial(tmp_path):
     main(["run", str(inst), "--trials", "30", "--seed", "4", "--no-timing",
           "--workers", "4", "-o", str(parallel)])
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("backend, instance", [("diagonal", "classical.json"),
+                                               ("trajectory", "rotated.json")])
+def test_run_parallel_matches_serial_per_backend(tmp_path, backend, instance):
+    # the pool pickles each trial's instance, compiled diagonal clauses included
+    inst = Path(__file__).parent / "data" / instance
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.jsonl"
+        main(["run", str(inst), "--backend", backend, "--trials", "24",
+              "--seed", "4", "--threshold", "3", "--no-timing",
+              "--workers", workers, "-o", str(out)])
+        outs.append(out.read_bytes())
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_verify_binom_exit_codes(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlll import verifiers
 from qlll.errors import InsufficientTrials
 from qlll.instances import (
     Diagonal,
@@ -116,7 +117,39 @@ class TestCountBound:
         assert check_history_count_bound(tree, inst.params)["holds"]
 
 
+class TestLeafEntropy:
+    def test_each_leaf_entropy_computed_once(self, monkeypatch):
+        calls = []
+        original = verifiers.von_neumann_entropy
+
+        def counting(rho):
+            calls.append(1)
+            return original(rho)
+
+        monkeypatch.setattr(verifiers, "von_neumann_entropy", counting)
+        inst = random_instance(3, 2, 2, seed=4, commuting=True)
+        tree = enumerate_history_tree(inst, enum_config(2))
+        assert check_entropy_claim(tree)["holds"]
+        assert check_history_count_bound(tree, inst.params)["holds"]
+        assert len(calls) == len(tree.leaves)
+        for leaf in tree.leaves:
+            assert leaf.entropy == original(leaf.state.rho)
+
+
 class TestOutcomeDistributions:
+    @given(seed=st.integers(0, 10 ** 6), commuting=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_law_matches_history_tree_leaves(self, seed, commuting):
+        # the folded law and the kept leaves come from the same walk
+        inst = random_instance(3, 2, 2, seed=seed, commuting=commuting)
+        tree = enumerate_history_tree(inst, enum_config(2),
+                                      materialize_stock=False)
+        from_leaves = {}
+        for leaf in tree.leaves:
+            from_leaves[leaf.branch_string] = \
+                from_leaves.get(leaf.branch_string, 0.0) + leaf.probability
+        assert enumerate_outcome_distribution(inst, 2) == from_leaves
+
     def test_diagonal_matches_density_exactly(self):
         inst = generate_classical_instance(3, 2, 2, 3, seed=5)
         dd = enumerate_outcome_distribution(inst, 3, backend="density")
