@@ -1,9 +1,13 @@
 """Quantum state backends: trajectory (pure-state sampling), density matrix,
 and diagonal-classical bits, plus entropy utilities.
 
-All three expose projective measurement of {P, 1-P} and the replace-with-
-fresh-mixed-qubits primitive with identical ensemble semantics; the density
-backend additionally enumerates both measurement branches exactly.
+Every state class exposes the one measurement protocol the FIX walker uses,
+measure_branches(spec) -> [(Outcome, state)] for {P, 1-P}, and the
+replace-with-fresh-mixed-qubits primitive, with identical ensemble
+semantics.  The sampling states (TrajectoryState, DiagonalState) return the
+one branch the Born rule draws, continuing in the same object; their draw is
+measure_projector.  The enumerating states (DensityState,
+DiagonalDistribution) return every branch they keep, each a new object.
 
 Tensor convention: an n-qubit pure state is stored as an ndarray of shape
 (2,)*n with axis q belonging to qubit q; a density matrix uses (2,)*(2n) with
@@ -54,10 +58,15 @@ def von_neumann_entropy(state_or_matrix) -> float:
 # ---------------------------------------------------------------------------
 # outcome record
 
-@dataclass
+@dataclass(frozen=True)
 class Outcome:
     violated: int      # 1 = projected onto P (violation), 0 = onto 1-P
     probability: float  # Born probability of this outcome
+
+
+# the two outcomes of a deterministic (bit-string) measurement, shared
+_SATISFIED = Outcome(violated=0, probability=1.0)
+_VIOLATED = Outcome(violated=1, probability=1.0)
 
 
 def _clamp01(p: float) -> float:
@@ -120,6 +129,10 @@ class TrajectoryState:
             self.psi = self.psi - projected
         self._renormalize()
         return Outcome(violated=violated, probability=p if violated else 1.0 - p)
+
+    def measure_branches(self, spec: ProjectorSpec):
+        """The one branch measure_projector draws, continuing in this state."""
+        return ((self.measure_projector(spec), self),)
 
     def replace_qubits(self, support) -> None:
         """Measure each support qubit in the computational basis (outcome
@@ -288,8 +301,11 @@ class DiagonalState:
         return 1.0 if clause.read(self._cells) in clause.forbidden else 0.0
 
     def measure_projector(self, spec: ProjectorSpec) -> Outcome:
-        e = self.expectation(spec)
-        return Outcome(violated=int(e), probability=1.0)
+        return _VIOLATED if self.expectation(spec) else _SATISFIED
+
+    def measure_branches(self, spec: ProjectorSpec):
+        """The one branch measure_projector reads, continuing in this state."""
+        return ((self.measure_projector(spec), self),)
 
     def replace_qubits(self, support) -> None:
         cells, rng = self._cells, self.rng

@@ -168,7 +168,7 @@ def _materialize_body(body, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # instance container
 
-@dataclass(eq=False)
+@dataclass
 class InstanceParams:
     k: int
     r: int
@@ -230,6 +230,15 @@ def check_qlll_condition(params: InstanceParams) -> QlllCheck:
     return QlllCheck(satisfied=margin > 0, margin=margin)
 
 
+def derive_instance_params(projectors, ranks, g: int) -> InstanceParams:
+    """(k, r, g, m) of a projector family: the largest support (at least 1),
+    the largest positive rank (1 when there is none), the given largest
+    neighborhood size g, and the projector count."""
+    k = max((p.k for p in projectors), default=1)
+    r = max((rank for rank in ranks if rank > 0), default=1)
+    return InstanceParams(k=max(k, 1), r=r, g=g, m=len(projectors))
+
+
 def build_instance(n, projectors, meta=None, check_commutation=True,
                    commuting=None) -> Instance:
     """Assemble an Instance, derive (k, r, g, m) and the neighborhood map.
@@ -245,11 +254,8 @@ def build_instance(n, projectors, meta=None, check_commutation=True,
                 f"support {p.support} has an index >= n={n}")
         p.materialize()  # surface shape errors early
     neighborhood, g = compute_neighborhood(projectors)
-    k = max((p.k for p in projectors), default=1)
-    ranks = [p.rank() for p in projectors]
-    positive = [r for r in ranks if r > 0]
-    r = max(positive) if positive else 1
-    params = InstanceParams(k=max(k, 1), r=r, g=g, m=len(projectors))
+    params = derive_instance_params(projectors,
+                                    [p.rank() for p in projectors], g)
     if commuting is None:
         if all(p.is_diagonal() for p in projectors):
             commuting = True
@@ -323,12 +329,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
             if set(instance.projectors[i].support) & set(instance.projectors[j].support):
                 pair_residuals[(i, j)] = pair_commutator_residual(
                     instance.projectors[i], instance.projectors[j])
-    neighborhood, g = compute_neighborhood(instance)
-    positive = [r for r in ranks if r > 0]
-    params = InstanceParams(
-        k=max((p.k for p in instance.projectors), default=1),
-        r=max(positive) if positive else 1,
-        g=g, m=instance.m)
+    _, g = compute_neighborhood(instance)
+    params = derive_instance_params(instance.projectors, ranks, g)
     commuting = all(res <= COMMUTE_ATOL for res in pair_residuals.values())
     return ValidationReport(hermiticity=herm, idempotence=idem, ranks=ranks,
                             pair_residuals=pair_residuals, params=params,

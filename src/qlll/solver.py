@@ -1,10 +1,14 @@
 """The commuting local-lemma solver: parameter calculus (eta, T), the FIX
-recursion with a global failure budget, run records, and satisfaction checks.
+walker with a global failure budget, run records, and satisfaction checks.
 
-The recursion is executed on an explicit frame stack (depth can reach the
-order of g*T, which a host call stack is not guaranteed to survive); frames
-pop in depth-first order, matching the recursive semantics exactly, and a
-return hook fires when a FIX call completes.
+FIX(j) measures projector j and, on a violation, replaces j's qubits and
+calls FIX on every projector of j's neighborhood.  execute_fix_loop is the
+one walker of that recursion, for sampled runs and for exact enumeration
+alike: it keeps the pending calls on a list (depth can reach the order of
+g*T, which a host call stack is not guaranteed to survive) and measures only
+through the state's measure_branches(spec) -> [(Outcome, state)].  A sampling
+state returns the one branch the Born rule draws; an enumerating state
+returns every branch it keeps, and each one but the last forks the walk.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import ConditionViolated
 from .instances import LOG2E, Instance
-from .backends import DiagonalState, TrajectoryState, init_fully_mixed
+from .backends import init_fully_mixed
 
 SATISFACTION_ATOL = 1e-8
 
@@ -98,7 +102,7 @@ def derive_params(instance: Instance, config: SolverConfig) -> DerivedParams:
 def neighborhood_orders(instance: Instance, traversal: str, rng):
     """Per-projector FIX traversal order over its neighborhood (self included)."""
     if traversal == "ascending":
-        return [list(nb) for nb in instance.neighborhood]
+        return instance.neighborhood
     if traversal == "random":
         orders = []
         for nb in instance.neighborhood:
@@ -109,42 +113,75 @@ def neighborhood_orders(instance: Instance, traversal: str, rng):
     raise ValueError(f"unknown traversal {traversal!r}")
 
 
-def execute_fix_loop(instance, orders, threshold, state, on_fix_return=None):
-    """Run the outer loop over all projectors with the FIX recursion.
+def execute_fix_loop(instance, orders, threshold, state, on_leaf,
+                     on_return=None, stock_base=None) -> float:
+    """Walk FIX(0), ..., FIX(m-1) from `state`, depth first.
 
-    Returns (result, outcomes, failures).  A violation increments the global
-    failure count; hitting the threshold aborts immediately, without a final
-    qubit replacement.  on_fix_return(index) fires each time a FIX call
-    completes.
+    Each measurement goes through state.measure_branches.  A violation adds
+    one to the failure count t; reaching the threshold aborts that branch at
+    once, without the final qubit replacement.  Otherwise the measured
+    qubits are replaced: re-mixed in place, or, with stock_base set, swapped
+    with the next unused stock qubits from index stock_base on.  Each branch
+    that ends is handed to on_leaf(outcomes, probability, state, t, result)
+    with outcomes a tuple of bits (1 = violated) and result "Success" or
+    "Failure".  on_return(j) fires when FIX(j) completes, satisfied calls
+    included, and never after an abort.  Returns the pruned mass: the
+    probability of the branches measure_branches did not return.
     """
     projectors = instance.projectors
-    outcomes = []
-    t = 0
-    for i in range(instance.m):
-        stack = [[i, None, 0]]  # frame: projector, children or None, cursor
-        while stack:
-            frame = stack[-1]
-            j, children, cursor = frame
-            if children is None:
-                out = state.measure_projector(projectors[j])
-                outcomes.append(out.violated)
-                if out.violated:
-                    t += 1
-                    if t == threshold:
-                        return "Failure", outcomes, t
-                    state.replace_qubits(projectors[j].support)
-                    frame[1] = orders[j]
-                else:
-                    frame[1] = ()
+    pruned = 0.0
+    # a walk: pending calls with the next one last (~j marks FIX(j)'s return),
+    # outcomes, failures, stock qubits used, probability, state
+    walks = [(list(range(instance.m - 1, -1, -1)), [], 0, 0, 1.0, state)]
+    while walks:
+        pending, outcomes, t, used, prob, state = walks.pop()
+        while pending:
+            j = pending.pop()
+            if j < 0:
+                on_return(~j)
                 continue
-            if cursor < len(children):
-                frame[2] += 1
-                stack.append([children[cursor], None, 0])
-            else:
-                stack.pop()
-                if on_fix_return is not None:
-                    on_fix_return(j)
-    return "Success", outcomes, t
+            branches = state.measure_branches(projectors[j])
+            kept = 0.0
+            for outcome, _ in branches:
+                kept += outcome.probability
+            if kept < 1.0:
+                pruned += prob * (1.0 - kept)
+            # the last branch continues in place; every other one forks with
+            # its own copies and is walked after it
+            last = len(branches) - 1
+            for b, (outcome, post) in enumerate(branches):
+                fork = b < last
+                pending_b = pending.copy() if fork else pending
+                outcomes_b = outcomes.copy() if fork else outcomes
+                outcomes_b.append(outcome.violated)
+                t_b, used_b, prob_b = t, used, prob * outcome.probability
+                if outcome.violated:
+                    t_b += 1
+                    if t_b == threshold:
+                        on_leaf(tuple(outcomes_b), prob_b, post, t_b, "Failure")
+                        post = None
+                    else:
+                        support = projectors[j].support
+                        if stock_base is None:
+                            post.replace_qubits(support)
+                        else:
+                            post.swap_qubits([(q, stock_base + used_b + i)
+                                              for i, q in enumerate(support)])
+                            used_b += len(support)
+                        if on_return is not None:
+                            pending_b.append(~j)
+                        pending_b.extend(reversed(orders[j]))
+                elif on_return is not None:
+                    pending_b.append(~j)
+                if not fork:
+                    state, t, used, prob = post, t_b, used_b, prob_b
+                elif post is not None:
+                    walks.append((pending_b, outcomes_b, t_b, used_b, prob_b, post))
+            if state is None:  # the walk in place aborted
+                break
+        else:
+            on_leaf(tuple(outcomes), prob, state, t, "Success")
+    return pruned
 
 
 def run(instance: Instance, config: SolverConfig) -> RunRecord:
@@ -157,15 +194,17 @@ def run(instance: Instance, config: SolverConfig) -> RunRecord:
     derived = derive_params(instance, config)
     rng = np.random.default_rng(config.seed)
     orders = neighborhood_orders(instance, config.traversal, rng)
-    state = init_fully_mixed(config.backend, instance.n, rng=rng)
-    result, outcomes, t = execute_fix_loop(
-        instance, orders, derived.threshold_T, state)
+    leaves = []
+    execute_fix_loop(instance, orders, derived.threshold_T,
+                     init_fully_mixed(config.backend, instance.n, rng=rng),
+                     lambda *leaf: leaves.append(leaf))
+    (outcomes, _, state, t, result), = leaves
     final_expectations = None
     max_energy = None
     if result == "Success":
-        final_expectations = [state.expectation(p) for p in instance.projectors]
-        max_energy = max(final_expectations, default=0.0)
-    return RunRecord(outcome_string=tuple(outcomes), failures_t=t,
+        report = verify_satisfaction(instance, state)
+        final_expectations, max_energy = report.energies, report.max_energy
+    return RunRecord(outcome_string=outcomes, failures_t=t,
                      fix_calls=len(outcomes), result=result,
                      final_expectations=final_expectations,
                      max_energy=max_energy,
@@ -175,6 +214,7 @@ def run(instance: Instance, config: SolverConfig) -> RunRecord:
 
 @dataclass
 class SatisfactionReport:
+    energies: list           # expectation of each projector, in order
     max_energy: float
     satisfied: bool
     no_guarantee: bool  # set for non-commuting instances
@@ -183,7 +223,7 @@ class SatisfactionReport:
 def verify_satisfaction(instance: Instance, state) -> SatisfactionReport:
     energies = [state.expectation(p) for p in instance.projectors]
     max_energy = max(energies, default=0.0)
-    return SatisfactionReport(max_energy=max_energy,
+    return SatisfactionReport(energies=energies, max_energy=max_energy,
                               satisfied=max_energy <= SATISFACTION_ATOL,
                               no_guarantee=not instance.commuting)
 
@@ -205,12 +245,12 @@ def monotonicity_probe(instance: Instance, config: SolverConfig,
     if config.backend != "trajectory":
         raise ValueError("monotonicity probe requires the trajectory backend")
     base = np.random.SeedSequence(config.seed)
+    derived = derive_params(instance, config)
     violations = []
     failures = 0
     for run_index, child in enumerate(base.spawn(runs)):
         rng = np.random.default_rng(child)
         orders = neighborhood_orders(instance, config.traversal, rng)
-        derived = derive_params(instance, config)
         state = init_fully_mixed("trajectory", instance.n, rng=rng)
         returned = set()
         prev_satisfied = set()
@@ -228,9 +268,11 @@ def monotonicity_probe(instance: Instance, config: SolverConfig,
                 violations.append((run_index, f"satisfied set lost {sorted(lost)}"))
             prev_satisfied = satisfied
 
-        result, _, _ = execute_fix_loop(
-            instance, orders, derived.threshold_T, state, on_fix_return=on_return)
-        if result == "Failure":
+        results = []
+        execute_fix_loop(instance, orders, derived.threshold_T, state,
+                         lambda *leaf: results.append(leaf[4]),
+                         on_return=on_return)
+        if results == ["Failure"]:
             failures += 1
     return MonotonicityReport(runs=runs, failures=failures,
                               violations=violations, holds=not violations)

@@ -5,6 +5,11 @@ by exhaustive history-tree enumeration with the stock register materialized),
 the per-branch counting and entropy bounds, the analytic failure-probability
 bound, the exact binomial inequality C(m+gt, t) <= 2^m C(gt, t), and the
 threshold inequality (log2 T + m)/T <= 1/eta with its three sub-bounds.
+
+Enumeration is the solver's FIX walker, solver.execute_fix_loop, started
+from a state whose measure_branches returns every branch it keeps
+(DensityState or DiagonalDistribution); the same walker samples one run
+from a trajectory or bit-string state.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from .errors import InsufficientTrials
 from .instances import Instance, InstanceParams, LOG2E
 from .backends import (DensityState, DiagonalDistribution,
                        shannon_entropy, von_neumann_entropy)
-from .solver import SolverConfig, derive_params
+from .solver import (SolverConfig, derive_params, execute_fix_loop,
+                     neighborhood_orders)
 
 ENTROPY_SLACK = 1e-9
 
@@ -47,54 +53,6 @@ class HistoryTree:
     pruned_mass: float
 
 
-def _walk_branches(instance, orders, threshold, root, on_leaf,
-                   stock_base=None):
-    """Enumerate every measurement history of the FIX loop.
-
-    The recursion is flattened into a work list of pending FIX calls; a
-    violation prepends the neighborhood traversal.  With stock_base set,
-    replacement swaps the measured qubits into fresh stock slots (so the
-    post-branch states carry the full bookkeeping register); without it,
-    replacement re-mixes the qubits in place.  Each leaf is handed to
-    on_leaf(branch_string, probability, state, failures, result) and not
-    kept; returns the pruned probability mass.
-    """
-    projectors = instance.projectors
-    pruned = 0.0
-    stack = [(root, tuple(range(instance.m)), 0, 0, (), 1.0)]
-    while stack:
-        state, worklist, stock_used, t, sbar, prob = stack.pop()
-        if not worklist:
-            on_leaf(sbar, prob, state, t, "Success")
-            continue
-        j = worklist[0]
-        branches = state.measure_branches(projectors[j])
-        pruned += prob * max(0.0, 1.0 - sum(o.probability for o, _ in branches))
-        for outcome, post in branches:
-            p2 = prob * outcome.probability
-            s2 = sbar + (outcome.violated,)
-            if outcome.violated:
-                t2 = t + 1
-                if t2 == threshold:
-                    # abort immediately; the final replacement never happens
-                    on_leaf(s2, p2, post, t2, "Failure")
-                    continue
-                support = projectors[j].support
-                if stock_base is not None:
-                    slots = [stock_base + stock_used + i
-                             for i in range(len(support))]
-                    post.swap_qubits(list(zip(support, slots)))
-                    used2 = stock_used + len(support)
-                else:
-                    post.replace_qubits(support)
-                    used2 = stock_used
-                stack.append((post, tuple(orders[j]) + worklist[1:],
-                              used2, t2, s2, p2))
-            else:
-                stack.append((post, worklist[1:], stock_used, t, s2, p2))
-    return pruned
-
-
 def enumerate_history_tree(instance: Instance, config: SolverConfig,
                            materialize_stock: bool = True,
                            density_cap: int | None = None) -> HistoryTree:
@@ -113,11 +71,10 @@ def enumerate_history_tree(instance: Instance, config: SolverConfig,
     root = DensityState(d, **kwargs)
     if config.traversal != "ascending":
         raise ValueError("history enumeration supports ascending traversal only")
-    orders = [list(nb) for nb in instance.neighborhood]
     leaves = []
-    pruned = _walk_branches(
-        instance, orders, threshold, root,
-        lambda *leaf: leaves.append(HistoryNode(*leaf)),
+    pruned = execute_fix_loop(
+        instance, neighborhood_orders(instance, "ascending", None), threshold,
+        root, lambda *leaf: leaves.append(HistoryNode(*leaf)),
         stock_base=instance.n if materialize_stock else None)
     return HistoryTree(leaves=leaves, initial_entropy=float(d), n=instance.n,
                        stock_N=stock_n, threshold_T=threshold,
@@ -132,7 +89,6 @@ def enumerate_outcome_distribution(instance: Instance, threshold: int,
     unaffected); "diagonal" runs the classical-distribution state and is
     defined for diagonal instances only.
     """
-    orders = [list(nb) for nb in instance.neighborhood]
     if backend == "density":
         root = DensityState(instance.n)
     elif backend == "diagonal":
@@ -144,7 +100,8 @@ def enumerate_outcome_distribution(instance: Instance, threshold: int,
     def fold(branch_string, probability, _state, _failures, _result):
         dist[branch_string] = dist.get(branch_string, 0.0) + probability
 
-    _walk_branches(instance, orders, threshold, root, fold)
+    execute_fix_loop(instance, neighborhood_orders(instance, "ascending", None),
+                     threshold, root, fold)
     return dist
 
 

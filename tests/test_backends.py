@@ -107,6 +107,18 @@ class TestMeasurement:
         assert out.violated == 1
         assert out.probability == 1.0
 
+    def test_sampling_states_continue_in_place(self):
+        # a sampling state's one branch is the draw of measure_projector,
+        # and the walk continues in the same object
+        spec = diag([0, 1], "10")
+        bits = DiagonalState(2, np.random.default_rng(0))
+        bits.bits[:] = [1, 0]
+        for state in (basis_trajectory((1, 0)), bits):
+            ((out, post),) = state.measure_branches(spec)
+            assert post is state
+            assert (out.violated, out.probability) == (1, pytest.approx(1.0))
+            assert state.measure_projector(spec) == out
+
     def test_branch_states_renormalized(self):
         state = DensityState(2)
         for out, post in state.measure_branches(diag([0, 1], "11")):

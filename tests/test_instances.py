@@ -184,6 +184,18 @@ class TestValidation:
         with pytest.raises(MalformedProjector):
             build_instance(2, [diag([0, 5], "00")])
 
+    @pytest.mark.parametrize("make", [
+        lambda: generate_classical_instance(9, 3, 3, 2, seed=0),
+        lambda: rotate_instance(generate_classical_instance(8, 2, 4, 2, seed=3),
+                                seed=1),
+        lambda: random_instance(3, 2, 3, rank=2, seed=4, commuting=False),
+        lambda: build_instance(2, []),
+        lambda: build_instance(1, [diag([], "")]),
+    ], ids=["diagonal", "rotated", "explicit", "empty", "empty-support"])
+    def test_params_match_build(self, make):
+        inst = make()
+        assert validate_instance(inst).params == inst.params
+
     def test_rank_zero_projectors_allowed(self):
         inst = build_instance(2, [ProjectorSpec((0,), Diagonal(frozenset()))])
         assert inst.params.r == 1  # all-rank-0 falls back to r = 1

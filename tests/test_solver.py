@@ -19,6 +19,7 @@ from qlll.solver import (
     compute_threshold,
     derive_params,
     derive_trial_seed,
+    execute_fix_loop,
     monotonicity_probe,
     record_to_dict,
     rle_decode,
@@ -146,6 +147,32 @@ class TestRun:
         rec = run(inst, SolverConfig(seed=0, backend="diagonal",
                                      threshold_override=50))
         assert rec.result in ("Success", "Failure")
+
+
+class TestWalker:
+    def _walk(self, inst, threshold, seed):
+        rng = np.random.default_rng(seed)
+        state = init_fully_mixed("diagonal", inst.n, rng=rng)
+        events = []
+        execute_fix_loop(inst, inst.neighborhood, threshold, state,
+                         lambda *leaf: events.append(("leaf",) + leaf),
+                         on_return=lambda j: events.append(("return", j)))
+        return events
+
+    def test_every_completed_call_returns_once(self):
+        inst = generate_classical_instance(12, 3, 8, 3, seed=2)
+        for seed in range(20):
+            *returns, leaf = self._walk(inst, 10 ** 6, seed)
+            assert leaf[0] == "leaf" and leaf[5] == "Success"
+            assert all(event[0] == "return" for event in returns)
+            assert len(returns) == len(leaf[1])  # one return per measurement
+
+    def test_no_return_after_abort(self):
+        # the one clause forbids every value, so FIX(0) recurses until t == 3
+        inst = build_instance(2, [diag([0, 1], "00", "01", "10", "11")])
+        events = self._walk(inst, 3, 0)
+        assert [e[0] for e in events] == ["leaf"]
+        assert events[0][1] == (1, 1, 1) and events[0][4:] == (3, "Failure")
 
 
 class TestSatisfaction:
