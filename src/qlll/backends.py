@@ -1,13 +1,17 @@
 """Quantum state backends: trajectory (pure-state sampling), density matrix,
 and diagonal-classical bits, plus entropy utilities.
 
-Every state class exposes the one measurement protocol the FIX walker uses,
-measure_branches(spec) -> [(Outcome, state)] for {P, 1-P}, and the
-replace-with-fresh-mixed-qubits primitive, with identical ensemble
-semantics.  The sampling states (TrajectoryState, DiagonalState) return the
-one branch the Born rule draws, continuing in the same object; their draw is
-measure_projector.  The enumerating states (DensityState,
+Every state class exposes the two calls the FIX walker makes, with identical
+ensemble semantics.  measure_branches(spec) -> [(Outcome, state)] measures
+{P, 1-P}: the sampling states (TrajectoryState, DiagonalState) return the one
+branch the Born rule draws, continuing in the same object (their draw is
+measure_projector); the enumerating states (DensityState,
 DiagonalDistribution) return every branch they keep, each a new object.
+replace_qubits(support) gives the support fresh maximally mixed qubits: a
+DensityState swaps in its own stock qubits while it has them (see its
+docstring), every other state re-mixes the support in place.
+expectation(spec) reads <P> without measuring, for the final check and the
+monotonicity probe.
 
 Tensor convention: an n-qubit pure state is stored as an ndarray of shape
 (2,)*n with axis q belonging to qubit q; a density matrix uses (2,)*(2n) with
@@ -17,7 +21,6 @@ row axes first.  Bit 0 of a local operator's index is its support[0] qubit
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,20 +95,16 @@ class TrajectoryState:
     reproduce the density-matrix ensemble exactly (checked in the tests).
     """
 
-    def __init__(self, n: int, rng, cap: int = TRAJECTORY_CAP):
-        if n > cap:
-            raise DimensionTooLarge(f"trajectory backend capped at {cap} qubits, got {n}")
+    def __init__(self, n: int, rng):
+        if n > TRAJECTORY_CAP:
+            raise DimensionTooLarge(
+                f"trajectory backend capped at {TRAJECTORY_CAP} qubits, got {n}")
         self.n = n
         self.rng = rng
         bits = rng.integers(0, 2, size=n)
         psi = np.zeros((2,) * n if n else (1,), dtype=complex)
         psi[tuple(bits)] = 1.0
         self.psi = psi
-
-    def copy(self) -> "TrajectoryState":
-        new = object.__new__(TrajectoryState)
-        new.n, new.rng, new.psi = self.n, self.rng, self.psi.copy()
-        return new
 
     def _renormalize(self):
         norm = np.linalg.norm(self.psi)
@@ -143,8 +142,6 @@ class TrajectoryState:
                                 / (np.abs(self.psi) ** 2).sum()))
             observed = int(self.rng.random() < p1)
             keep = np.zeros_like(self.psi)
-            idx = [slice(None)] * self.n
-            idx[q] = observed
             np.moveaxis(keep, q, 0)[observed] = marginal[observed]
             self.psi = keep
             self._renormalize()
@@ -165,27 +162,42 @@ class TrajectoryState:
 # density backend
 
 class DensityState:
-    """Exact density operator on d labeled qubits."""
+    """Exact density operator on d labeled qubits, the last `stock` of which
+    are fresh maximally mixed stock qubits.
 
-    def __init__(self, d: int, rho=None, cap: int = DENSITY_CAP):
-        if d > cap:
-            raise DimensionTooLarge(f"density backend capped at {cap} qubits, got {d}")
+    replace_qubits(support) swaps the support into the next unused stock
+    qubits while enough are left, so the register's entropy is conserved
+    (`stock_used` counts them, and branches inherit it); otherwise it traces
+    the support out.  With stock=0 every replacement is a partial trace.
+    """
+
+    def __init__(self, d: int, rho=None, stock: int = 0):
+        if d > DENSITY_CAP:
+            raise DimensionTooLarge(
+                f"density backend capped at {DENSITY_CAP} qubits, got {d}")
         self.d = d
+        self.stock = stock
+        self.stock_used = 0
         dim = 2 ** d
         if rho is None:
             rho = np.eye(dim, dtype=complex) / dim
         self.rho = np.asarray(rho, dtype=complex)
-
-    def copy(self) -> "DensityState":
-        new = object.__new__(DensityState)
-        new.d, new.rho = self.d, self.rho.copy()
-        return new
 
     def _tensor(self) -> np.ndarray:
         return self.rho.reshape((2,) * (2 * self.d))
 
     def _from_tensor(self, t: np.ndarray) -> None:
         self.rho = t.reshape(2 ** self.d, 2 ** self.d)
+
+    def _blocks(self, support):
+        """The partial traces' shared view: rho with rows and columns ordered
+        (support, rest) as a (2^k, 2^(d-k), 2^k, 2^(d-k)) array, and rest."""
+        rest = [q for q in range(self.d) if q not in support]
+        k = len(support)
+        t = np.moveaxis(self._tensor(), list(support) + rest
+                        + [self.d + q for q in support] + [self.d + q for q in rest],
+                        range(2 * self.d))
+        return t.reshape(2 ** k, 2 ** (self.d - k), 2 ** k, 2 ** (self.d - k)), rest
 
     def _conjugate(self, mat: np.ndarray, support) -> np.ndarray:
         """M rho M^dagger as a flat matrix."""
@@ -213,27 +225,31 @@ class DensityState:
             if p < BRANCH_PRUNE:
                 continue
             state = object.__new__(DensityState)
-            state.d, state.rho = self.d, post / p
+            state.d, state.stock, state.stock_used = self.d, self.stock, self.stock_used
+            state.rho = post / p
             branches.append((Outcome(violated=violated, probability=p), state))
         return branches
 
     def replace_qubits(self, support) -> None:
-        """Partial-trace the support qubits and re-tensor them maximally mixed;
-        the reduced state on every other qubit is untouched."""
+        """Swap the support into the next unused stock qubits, or, with too
+        few left, trace it out and re-tensor it maximally mixed; the other
+        non-stock qubits are untouched either way."""
         k = len(support)
-        rest = [q for q in range(self.d) if q not in support]
-        t = self._tensor()
-        # rows/cols reordered to (support, rest)
-        t = np.moveaxis(t, list(support) + rest
-                        + [self.d + q for q in support] + [self.d + q for q in rest],
-                        range(2 * self.d))
-        block = t.reshape(2 ** k, 2 ** (self.d - k), 2 ** k, 2 ** (self.d - k))
-        reduced = np.einsum("iaib->ab", block)
-        fresh = np.kron(np.eye(2 ** k, dtype=complex) / 2 ** k, reduced)
-        t = fresh.reshape((2,) * (2 * self.d))
-        t = np.moveaxis(t, range(2 * self.d),
-                        list(support) + rest
-                        + [self.d + q for q in support] + [self.d + q for q in rest])
+        if self.stock_used + k <= self.stock:
+            first = self.d - self.stock + self.stock_used
+            self.stock_used += k
+            self.swap_qubits([(q, first + i) for i, q in enumerate(support)])
+            return
+        # `block` (a copy of rho) stays referenced until the new matrix is
+        # built: freeing it first let the allocator hand the heap top back and
+        # fault it in again, twice the page faults of an outcome law
+        block, rest = self._blocks(support)
+        fresh = np.kron(np.eye(2 ** k, dtype=complex) / 2 ** k,
+                        np.einsum("iaib->ab", block))
+        # fresh is ordered (support, rest); put every qubit back on its axis
+        order = list(support) + rest
+        t = np.moveaxis(fresh.reshape((2,) * (2 * self.d)), range(2 * self.d),
+                        order + [self.d + q for q in order])
         self._from_tensor(t)
 
     def swap_qubits(self, pairs) -> None:
@@ -247,17 +263,8 @@ class DensityState:
 
     def reduced(self, support) -> np.ndarray:
         """Reduced density matrix on the given qubits (in the given order)."""
-        rest = [q for q in range(self.d) if q not in support]
-        k = len(support)
-        t = self._tensor()
-        t = np.moveaxis(t, list(support) + rest
-                        + [self.d + q for q in support] + [self.d + q for q in rest],
-                        range(2 * self.d))
-        block = t.reshape(2 ** k, 2 ** (self.d - k), 2 ** k, 2 ** (self.d - k))
+        block, _ = self._blocks(support)
         return np.einsum("iaja->ij", block)
-
-    def entropy(self) -> float:
-        return von_neumann_entropy(self.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +331,6 @@ class DiagonalDistribution:
             probs = np.full((2,) * n if n else (1,), 2.0 ** -n)
         self.probs = np.asarray(probs, dtype=float)
 
-    def copy(self) -> "DiagonalDistribution":
-        return DiagonalDistribution(self.n, self.probs.copy())
-
     def _mask(self, spec: ProjectorSpec) -> np.ndarray:
         if spec.clause is None:
             raise TypeError("diagonal backend requires diagonal projector bodies")
@@ -366,6 +370,6 @@ def init_fully_mixed(backend: str, n: int, rng=None, seed=None):
         return TrajectoryState(n, rng)
     if backend == "diagonal":
         return DiagonalState(n, rng)
-    if backend in ("density", "density_enumerate"):
+    if backend == "density":
         return DensityState(n)
     raise ValueError(f"unknown backend {backend!r}")

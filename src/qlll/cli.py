@@ -1,7 +1,9 @@
 """Command-line front end: instance generation, seeded batch experiments with
 JSON-lines output, and the verifier suite.
 
-Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage/input error.
+Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage/input error,
+141 (128 + SIGPIPE, as the shell reports a process the closed pipe killed)
+when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -262,6 +264,11 @@ def main(argv=None) -> int:
     except QlllError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): stop quietly, and point
+        # stdout at devnull so the interpreter's final flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -189,9 +189,6 @@ class Instance:
     def m(self) -> int:
         return len(self.projectors)
 
-    def matrix(self, i: int) -> np.ndarray:
-        return self.projectors[i].materialize()
-
     def is_diagonal(self) -> bool:
         return all(p.is_diagonal() for p in self.projectors)
 
@@ -239,8 +236,7 @@ def derive_instance_params(projectors, ranks, g: int) -> InstanceParams:
     return InstanceParams(k=max(k, 1), r=r, g=g, m=len(projectors))
 
 
-def build_instance(n, projectors, meta=None, check_commutation=True,
-                   commuting=None) -> Instance:
+def build_instance(n, projectors, meta=None) -> Instance:
     """Assemble an Instance, derive (k, r, g, m) and the neighborhood map.
 
     Pairwise commutation is measured (max-entry commutator residual on the
@@ -256,13 +252,8 @@ def build_instance(n, projectors, meta=None, check_commutation=True,
     neighborhood, g = compute_neighborhood(projectors)
     params = derive_instance_params(projectors,
                                     [p.rank() for p in projectors], g)
-    if commuting is None:
-        if all(p.is_diagonal() for p in projectors):
-            commuting = True
-        elif check_commutation:
-            commuting = max_commutator_residual(projectors) <= COMMUTE_ATOL
-        else:
-            commuting = False
+    commuting = (all(p.is_diagonal() for p in projectors)
+                 or max_commutator_residual(projectors) <= COMMUTE_ATOL)
     return Instance(n=n, projectors=projectors, params=params,
                     neighborhood=neighborhood, commuting=commuting,
                     meta=dict(meta or {}))

@@ -5,10 +5,13 @@ FIX(j) measures projector j and, on a violation, replaces j's qubits and
 calls FIX on every projector of j's neighborhood.  execute_fix_loop is the
 one walker of that recursion, for sampled runs and for exact enumeration
 alike: it keeps the pending calls on a list (depth can reach the order of
-g*T, which a host call stack is not guaranteed to survive) and measures only
-through the state's measure_branches(spec) -> [(Outcome, state)].  A sampling
-state returns the one branch the Born rule draws; an enumerating state
-returns every branch it keeps, and each one but the last forks the walk.
+g*T, which a host call stack is not guaranteed to survive) and makes only
+two calls on the state: measure_branches(spec) -> [(Outcome, state)], where
+a sampling state returns the one branch the Born rule draws and an
+enumerating state every branch it keeps (each but the last forks the walk),
+and replace_qubits(support) after each violation that does not abort; where
+the fresh qubits come from is the state's business.  The final satisfaction
+check and the monotonicity probe read the state with expectation(spec).
 """
 
 from __future__ import annotations
@@ -114,14 +117,13 @@ def neighborhood_orders(instance: Instance, traversal: str, rng):
 
 
 def execute_fix_loop(instance, orders, threshold, state, on_leaf,
-                     on_return=None, stock_base=None) -> float:
+                     on_return=None) -> float:
     """Walk FIX(0), ..., FIX(m-1) from `state`, depth first.
 
     Each measurement goes through state.measure_branches.  A violation adds
     one to the failure count t; reaching the threshold aborts that branch at
     once, without the final qubit replacement.  Otherwise the measured
-    qubits are replaced: re-mixed in place, or, with stock_base set, swapped
-    with the next unused stock qubits from index stock_base on.  Each branch
+    qubits are replaced through state.replace_qubits.  Each branch
     that ends is handed to on_leaf(outcomes, probability, state, t, result)
     with outcomes a tuple of bits (1 = violated) and result "Success" or
     "Failure".  on_return(j) fires when FIX(j) completes, satisfied calls
@@ -131,10 +133,10 @@ def execute_fix_loop(instance, orders, threshold, state, on_leaf,
     projectors = instance.projectors
     pruned = 0.0
     # a walk: pending calls with the next one last (~j marks FIX(j)'s return),
-    # outcomes, failures, stock qubits used, probability, state
-    walks = [(list(range(instance.m - 1, -1, -1)), [], 0, 0, 1.0, state)]
+    # outcomes, failures, probability, state
+    walks = [(list(range(instance.m - 1, -1, -1)), [], 0, 1.0, state)]
     while walks:
-        pending, outcomes, t, used, prob, state = walks.pop()
+        pending, outcomes, t, prob, state = walks.pop()
         while pending:
             j = pending.pop()
             if j < 0:
@@ -154,29 +156,23 @@ def execute_fix_loop(instance, orders, threshold, state, on_leaf,
                 pending_b = pending.copy() if fork else pending
                 outcomes_b = outcomes.copy() if fork else outcomes
                 outcomes_b.append(outcome.violated)
-                t_b, used_b, prob_b = t, used, prob * outcome.probability
+                t_b, prob_b = t, prob * outcome.probability
                 if outcome.violated:
                     t_b += 1
                     if t_b == threshold:
                         on_leaf(tuple(outcomes_b), prob_b, post, t_b, "Failure")
                         post = None
                     else:
-                        support = projectors[j].support
-                        if stock_base is None:
-                            post.replace_qubits(support)
-                        else:
-                            post.swap_qubits([(q, stock_base + used_b + i)
-                                              for i, q in enumerate(support)])
-                            used_b += len(support)
+                        post.replace_qubits(projectors[j].support)
                         if on_return is not None:
                             pending_b.append(~j)
                         pending_b.extend(reversed(orders[j]))
                 elif on_return is not None:
                     pending_b.append(~j)
                 if not fork:
-                    state, t, used, prob = post, t_b, used_b, prob_b
+                    state, t, prob = post, t_b, prob_b
                 elif post is not None:
-                    walks.append((pending_b, outcomes_b, t_b, used_b, prob_b, post))
+                    walks.append((pending_b, outcomes_b, t_b, prob_b, post))
             if state is None:  # the walk in place aborted
                 break
         else:

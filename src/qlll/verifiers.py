@@ -54,12 +54,12 @@ class HistoryTree:
 
 
 def enumerate_history_tree(instance: Instance, config: SolverConfig,
-                           materialize_stock: bool = True,
-                           density_cap: int | None = None) -> HistoryTree:
+                           materialize_stock: bool = True) -> HistoryTree:
     """Exact branch enumeration on the density backend.
 
-    With the stock materialized, the register holds n + N qubits (N = T*k
-    maximally mixed stock qubits) so branch entropies follow the same
+    With the stock materialized, the register holds n + N qubits, the last
+    N = T*k of them maximally mixed stock that each replacement swaps in
+    (DensityState(n + N, stock=N)), so branch entropies follow the same
     bookkeeping as the failure-probability argument; keep T small via
     config.threshold_override.
     """
@@ -67,15 +67,13 @@ def enumerate_history_tree(instance: Instance, config: SolverConfig,
     threshold = derived.threshold_T
     stock_n = derived.stock_size_N if materialize_stock else 0
     d = instance.n + stock_n
-    kwargs = {} if density_cap is None else {"cap": density_cap}
-    root = DensityState(d, **kwargs)
+    root = DensityState(d, stock=stock_n)
     if config.traversal != "ascending":
         raise ValueError("history enumeration supports ascending traversal only")
     leaves = []
     pruned = execute_fix_loop(
         instance, neighborhood_orders(instance, "ascending", None), threshold,
-        root, lambda *leaf: leaves.append(HistoryNode(*leaf)),
-        stock_base=instance.n if materialize_stock else None)
+        root, lambda *leaf: leaves.append(HistoryNode(*leaf)))
     return HistoryTree(leaves=leaves, initial_entropy=float(d), n=instance.n,
                        stock_N=stock_n, threshold_T=threshold,
                        pruned_mass=pruned)

@@ -189,6 +189,44 @@ class TestReplacement:
         np.testing.assert_allclose(dist.probs, [[0.45, 0.05], [0.45, 0.05]], atol=1e-12)
 
 
+def random_density(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2 ** d,) * 2) + 1j * rng.standard_normal((2 ** d,) * 2)
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
+
+
+class TestStock:
+    """DensityState(d, stock=s) keeps its last s qubits as stock."""
+
+    @pytest.mark.parametrize("supports", [[(0, 1), (2,)], [(2, 0), (1,)],
+                                          [(1,), (0,), (2,)]])
+    def test_replace_swaps_in_next_stock_qubits(self, supports):
+        rho = random_density(6, seed=1)
+        state = DensityState(6, rho=rho, stock=3)
+        swapped = DensityState(6, rho=rho)
+        first = 3
+        for support in supports:
+            state.replace_qubits(support)
+            swapped.swap_qubits([(q, first + i) for i, q in enumerate(support)])
+            first += len(support)
+            assert state.stock_used == first - 3
+            np.testing.assert_array_equal(state.rho, swapped.rho)
+
+    @pytest.mark.parametrize("stock", [2, 3])
+    def test_out_of_stock_replace_is_partial_trace(self, stock):
+        # the first replacement takes two stock qubits, leaving too few for
+        # the second, which must match a state without stock
+        state = DensityState(5, rho=random_density(5, seed=2), stock=stock)
+        state.replace_qubits((0, 1))
+        assert state.stock_used == 2
+        plain = DensityState(5, rho=state.rho)
+        state.replace_qubits((2, 1))
+        plain.replace_qubits((2, 1))
+        assert state.stock_used == 2
+        np.testing.assert_array_equal(state.rho, plain.rho)
+
+
 class TestExpectation:
     def test_zero_projector(self):
         state = basis_trajectory((0,))

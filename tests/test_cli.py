@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qlll
 from qlll.cli import main
 from qlll.instances import load_instance
 
@@ -147,3 +151,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["run", str(bad)]) == 2
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the report is about 1 MB, far more than a pipe buffers, so its writes
+    # meet the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(qlll.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlll.cli", "verify", "threshold", "--k", "3",
+         "--delta", "0.5", "--m-span", "2..3000"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""

@@ -202,8 +202,9 @@ class TestSatisfaction:
 class TestMonotonicity:
     def test_single_projector(self):
         inst = rotate_instance(build_instance(2, [diag([0, 1], "11")]), seed=2)
-        report = monotonicity_probe(inst, SolverConfig(delta=0.5, seed=1),
-                                    runs=20)
+        with pytest.warns(UserWarning, match="m >= 2"):
+            report = monotonicity_probe(inst, SolverConfig(delta=0.5, seed=1),
+                                        runs=20)
         assert report.holds
 
     def test_disjoint_supports(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlll import verifiers
+from qlll import backends, verifiers
 from qlll.errors import InsufficientTrials
 from qlll.instances import (
     Diagonal,
@@ -115,6 +115,26 @@ class TestCountBound:
         inst = random_instance(3, 2, 2, seed=seed, commuting=commuting)
         tree = enumerate_history_tree(inst, enum_config(2))
         assert check_history_count_bound(tree, inst.params)["holds"]
+
+
+class TestStockUse:
+    @pytest.mark.parametrize("threshold", [2, 3])
+    @pytest.mark.parametrize("seed, commuting", [(0, True), (1, False), (2, True)])
+    def test_last_k_stock_qubits_never_used(self, monkeypatch, threshold, seed,
+                                            commuting):
+        # a leaf with t violations swapped in k*min(t, T-1) stock qubits: the
+        # abort at t == T skips the last replacement, so of N = T*k stock
+        # qubits the last k stay unused.  T = 3 needs n + N = 9 qubits.
+        monkeypatch.setattr(backends, "DENSITY_CAP", 9)
+        inst = random_instance(3, 2, 2, seed=seed, commuting=commuting)
+        tree = enumerate_history_tree(inst, enum_config(threshold))
+        k = inst.params.k
+        assert tree.stock_N == threshold * k
+        assert {leaf.failures for leaf in tree.leaves} == set(range(threshold + 1))
+        for leaf in tree.leaves:
+            assert leaf.state.stock == tree.stock_N
+            assert leaf.state.stock_used == k * min(leaf.failures, threshold - 1)
+            assert leaf.state.stock_used <= k * (threshold - 1)
 
 
 class TestLeafEntropy:
