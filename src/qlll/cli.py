@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -52,20 +54,18 @@ def cmd_gen(args) -> int:
               f"2^k/(r e) (margin {check.margin:.4f}); pass --threshold to "
               "generate anyway", file=sys.stderr)
         return 2
-    p = instance.params
     if check.satisfied:
-        eta = solver.compute_eta(p.k, p.g, p.r, args.delta)
-        threshold = solver.compute_threshold(p.m, eta) if p.m else None
-        print(json.dumps({"delta": args.delta, "eta": eta, "T": threshold}))
+        derived = solver.derive_params(instance, SolverConfig(delta=args.delta))
+        print(json.dumps({"delta": args.delta, "eta": derived.eta,
+                          "T": derived.threshold_T}))
     instances.save_instance(instance, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
-def _trial_worker(payload):
-    instance, config_kwargs, trial, no_timing = payload
-    seed = solver.derive_trial_seed(config_kwargs.pop("base_seed"), trial)
-    record = solver.run(instance, SolverConfig(seed=seed, **config_kwargs))
+def _trial_worker(instance, config, base_seed, no_timing, trial):
+    seed = solver.derive_trial_seed(base_seed, trial)
+    record = solver.run(instance, dataclasses.replace(config, seed=seed))
     line = solver.record_to_dict(record, trial=trial)
     if no_timing:
         line["elapsed_ns"] = 0
@@ -74,36 +74,31 @@ def _trial_worker(payload):
 
 def cmd_run(args) -> int:
     instance = instances.load_instance(args.instance)
-    config_kwargs = dict(delta=args.delta, traversal=args.traversal,
-                         threshold_override=args.threshold,
-                         backend=args.backend)
-    derived = solver.derive_params(
-        instance, SolverConfig(seed=0, **config_kwargs))
-    payloads = [(instance, dict(config_kwargs, base_seed=args.seed), trial,
-                 args.no_timing)
-                for trial in range(args.trials)]
-    workers = args.workers or int(os.environ.get("QLLL_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(_trial_worker, payloads, chunksize=16))
+    config = SolverConfig(delta=args.delta, traversal=args.traversal,
+                          threshold_override=args.threshold,
+                          backend=args.backend)
+    derived = solver.derive_params(instance, config)
+    # the batch is bound once: a pool pickles it once per chunk of trials
+    run_trial = functools.partial(_trial_worker, instance, config, args.seed,
+                                  args.no_timing)
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            lines = list(pool.map(run_trial, range(args.trials), chunksize=16))
     else:
-        lines = [_trial_worker(p) for p in payloads]
+        lines = [run_trial(trial) for trial in range(args.trials)]
 
     with open(args.output, "w") as fh:
         for line in lines:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
     successes = [ln for ln in lines if ln["result"] == "Success"]
-    histogram = {}
-    for ln in lines:
-        histogram[ln["t"]] = histogram.get(ln["t"], 0) + 1
     report = verifiers.check_failure_bound(
         lines, instance.params, args.delta, derived.threshold_T,
         min_trials=min(args.trials, 100))
     summary = {
         "trials": args.trials,
         "success_rate": len(successes) / args.trials,
-        "t_histogram": dict(sorted(histogram.items())),
+        "t_histogram": report["t_histogram"],
         "mean_fix_calls": sum(ln["fix_calls"] for ln in lines) / args.trials,
         "max_fix_calls": max(ln["fix_calls"] for ln in lines),
         "T": derived.threshold_T,
@@ -121,8 +116,7 @@ def cmd_run(args) -> int:
         with open(args.hist_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "count"])
-            for t, count in sorted(histogram.items()):
-                writer.writerow([t, count])
+            writer.writerows(report["t_histogram"].items())
     return 0 if summary["pass"] else 1
 
 
@@ -193,10 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate or rotate an instance file")
-    gen.add_argument("--classical", action="store_true",
-                     help="random diagonal clause instance")
-    gen.add_argument("--rotate", metavar="PATH",
-                     help="conjugate an existing instance by random local unitaries")
+    source = gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--classical", action="store_true",
+                        help="random diagonal clause instance")
+    source.add_argument("--rotate", metavar="PATH",
+                        help="conjugate an existing instance by random local "
+                             "unitaries")
     gen.add_argument("-n", type=int, default=20)
     gen.add_argument("-k", type=int, default=3)
     gen.add_argument("-m", type=int, default=12, help="clause count")
@@ -218,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--traversal", default="ascending",
                       choices=["ascending", "random"])
     runp.add_argument("--threshold", type=int, default=None)
-    runp.add_argument("--workers", type=int, default=None)
+    runp.add_argument("--workers", type=int, default=1)
     runp.add_argument("--no-timing", action="store_true",
                       help="zero the elapsed_ns field for byte-stable outputs")
     runp.add_argument("-o", "--output", default="results.jsonl")

@@ -104,7 +104,7 @@ class ProjectorSpec:
 
     support: tuple
     body: object  # Diagonal | Rotated | Explicit
-    _mat: np.ndarray | None = field(default=None, repr=False)
+    _mat: np.ndarray | None = field(default=None, init=False, repr=False)
     clause: ClauseLookup | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -193,17 +193,13 @@ class Instance:
         return all(p.is_diagonal() for p in self.projectors)
 
 
-def compute_neighborhood(projectors_or_instance):
+def compute_neighborhood(projectors):
     """Per-projector list of overlapping projector indices (self included).
 
     Returns (neighborhood, g) with each list sorted ascending and
     g = max list length (1 when there are no projectors).
     """
-    if isinstance(projectors_or_instance, Instance):
-        supports = [p.support for p in projectors_or_instance.projectors]
-    else:
-        supports = [p.support for p in projectors_or_instance]
-    sets = [set(s) for s in supports]
+    sets = [set(p.support) for p in projectors]
     neighborhood = []
     for i, si in enumerate(sets):
         neighborhood.append(tuple(
@@ -222,7 +218,8 @@ class QlllCheck:
 def check_qlll_condition(params: InstanceParams) -> QlllCheck:
     """Strict local-lemma condition g < 2^k / (r e), reported via the margin
     k - log2(g e r).  Equality yields margin 0 and `not satisfied` (the
-    solver's eta diverges there)."""
+    solver's eta diverges there).  The one place the margin is evaluated:
+    eta and the analytic failure bound read it from here; m is not read."""
     margin = params.k - math.log2(params.g * params.r) - LOG2E
     return QlllCheck(satisfied=margin > 0, margin=margin)
 
@@ -286,14 +283,19 @@ def pair_commutator_residual(a: ProjectorSpec, b: ProjectorSpec) -> float:
     return float(np.max(np.abs(ma @ mb - mb @ ma)))
 
 
-def max_commutator_residual(projectors) -> float:
-    worst = 0.0
-    for i in range(len(projectors)):
+def pair_residuals(projectors) -> dict:
+    """{(i, j): commutator residual} over every overlapping pair, i < j;
+    disjoint supports commute exactly and are left out."""
+    residuals = {}
+    for i, a in enumerate(projectors):
         for j in range(i + 1, len(projectors)):
-            if set(projectors[i].support) & set(projectors[j].support):
-                worst = max(worst, pair_commutator_residual(
-                    projectors[i], projectors[j]))
-    return worst
+            if set(a.support) & set(projectors[j].support):
+                residuals[(i, j)] = pair_commutator_residual(a, projectors[j])
+    return residuals
+
+
+def max_commutator_residual(projectors) -> float:
+    return max(pair_residuals(projectors).values(), default=0.0)
 
 
 @dataclass
@@ -314,17 +316,12 @@ def validate_instance(instance: Instance) -> ValidationReport:
         herm.append(float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0)
         idem.append(float(np.max(np.abs(mat @ mat - mat))) if mat.size else 0.0)
         ranks.append(p.rank())
-    pair_residuals = {}
-    for i in range(instance.m):
-        for j in range(i + 1, instance.m):
-            if set(instance.projectors[i].support) & set(instance.projectors[j].support):
-                pair_residuals[(i, j)] = pair_commutator_residual(
-                    instance.projectors[i], instance.projectors[j])
-    _, g = compute_neighborhood(instance)
+    residuals = pair_residuals(instance.projectors)
+    _, g = compute_neighborhood(instance.projectors)
     params = derive_instance_params(instance.projectors, ranks, g)
-    commuting = all(res <= COMMUTE_ATOL for res in pair_residuals.values())
+    commuting = all(res <= COMMUTE_ATOL for res in residuals.values())
     return ValidationReport(hermiticity=herm, idempotence=idem, ranks=ranks,
-                            pair_residuals=pair_residuals, params=params,
+                            pair_residuals=residuals, params=params,
                             commuting=commuting)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolated
-from .instances import LOG2E, Instance
+from .instances import Instance, InstanceParams, check_qlll_condition
 from .backends import init_fully_mixed
 
 SATISFACTION_ATOL = 1e-8
@@ -62,11 +62,11 @@ def compute_eta(k, g, r, delta) -> float:
     """eta = 1 / (delta * (k - log2(g e r))); requires a positive margin."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    margin = k - math.log2(g * r) - LOG2E
-    if margin <= 0:
+    check = check_qlll_condition(InstanceParams(k=k, r=r, g=g, m=0))
+    if not check.satisfied:
         raise ConditionViolated(
-            f"k - log2(g*e*r) = {margin:.6g} <= 0 for k={k}, g={g}, r={r}")
-    return 1.0 / (delta * margin)
+            f"k - log2(g*e*r) = {check.margin:.6g} <= 0 for k={k}, g={g}, r={r}")
+    return 1.0 / (delta * check.margin)
 
 
 def compute_threshold(m, eta) -> int:
@@ -309,8 +309,8 @@ def derive_trial_seed(base_seed: int, trial: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def record_to_dict(record: RunRecord, trial: int | None = None) -> dict:
-    out = {
+def record_to_dict(record: RunRecord, trial: int) -> dict:
+    return {
         "trial": trial,
         "seed": record.seed,
         "result": record.result,
@@ -320,6 +320,3 @@ def record_to_dict(record: RunRecord, trial: int | None = None) -> dict:
         "max_energy": record.max_energy,
         "elapsed_ns": record.elapsed_ns,
     }
-    if trial is None:
-        del out["trial"]
-    return out

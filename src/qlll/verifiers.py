@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InsufficientTrials
-from .instances import Instance, InstanceParams, LOG2E
+from .instances import Instance, InstanceParams, check_qlll_condition
 from .backends import (DensityState, DiagonalDistribution,
                        shannon_entropy, von_neumann_entropy)
-from .solver import (SolverConfig, derive_params, execute_fix_loop,
-                     neighborhood_orders)
+from .solver import (SolverConfig, compute_eta, compute_threshold,
+                     derive_params, execute_fix_loop, neighborhood_orders)
 
 ENTROPY_SLACK = 1e-9
 
@@ -49,7 +49,6 @@ class HistoryTree:
     initial_entropy: float
     n: int
     stock_N: int
-    threshold_T: int
     pruned_mass: float
 
 
@@ -64,7 +63,6 @@ def enumerate_history_tree(instance: Instance, config: SolverConfig,
     config.threshold_override.
     """
     derived = derive_params(instance, config)
-    threshold = derived.threshold_T
     stock_n = derived.stock_size_N if materialize_stock else 0
     d = instance.n + stock_n
     root = DensityState(d, stock=stock_n)
@@ -72,11 +70,11 @@ def enumerate_history_tree(instance: Instance, config: SolverConfig,
         raise ValueError("history enumeration supports ascending traversal only")
     leaves = []
     pruned = execute_fix_loop(
-        instance, neighborhood_orders(instance, "ascending", None), threshold,
-        root, lambda *leaf: leaves.append(HistoryNode(*leaf)))
+        instance, neighborhood_orders(instance, "ascending", None),
+        derived.threshold_T, root,
+        lambda *leaf: leaves.append(HistoryNode(*leaf)))
     return HistoryTree(leaves=leaves, initial_entropy=float(d), n=instance.n,
-                       stock_N=stock_n, threshold_T=threshold,
-                       pruned_mass=pruned)
+                       stock_N=stock_n, pruned_mass=pruned)
 
 
 def enumerate_outcome_distribution(instance: Instance, threshold: int,
@@ -176,15 +174,13 @@ def check_threshold_inequality(k, g, r, delta, m_values) -> dict:
     (log2 T + m)/T <= 1/eta must hold; the three sub-bounds are checked at the
     un-ceiled T (the left side is decreasing in T, so dropping the ceiling is
     the harder case)."""
-    from .solver import compute_eta  # local import to avoid a cycle
-
     rows = []
     ok = True
     for m in m_values:
         if m < 2:
             raise ValueError(f"threshold inequality requires m >= 2, got {m}")
         eta = compute_eta(k, g, r, delta)
-        threshold = math.ceil(4 * m * eta * math.log2(eta + 2))
+        threshold = compute_threshold(m, eta)
         main_margin = 1.0 / eta - (math.log2(threshold) + m) / threshold
         t_real = 4 * m * eta * math.log2(eta + 2)
         sub1 = 2.0 - math.log2(4 * m) / m
@@ -205,16 +201,20 @@ def check_threshold_inequality(k, g, r, delta, m_values) -> dict:
             "rows": rows, "holds": ok}
 
 
-def failure_probability_bound(k, g, r, m, threshold) -> float:
-    """Analytic bound (log2 T + m) / (T * (k - log2(g e r))) on Pr(Failure)."""
-    margin = k - math.log2(g * r) - LOG2E
-    return (math.log2(threshold) + m) / (threshold * margin)
+def failure_probability_bound(k, g, r, m, threshold) -> float | None:
+    """Analytic bound (log2 T + m) / (T * (k - log2(g e r))) on Pr(Failure);
+    None when the local-lemma condition fails, where the paper gives none."""
+    check = check_qlll_condition(InstanceParams(k=k, r=r, g=g, m=m))
+    if not check.satisfied:
+        return None
+    return (math.log2(threshold) + m) / (threshold * check.margin)
 
 
 def check_failure_bound(records, params: InstanceParams, delta: float,
                         threshold: int, min_trials: int = 100) -> dict:
     """Empirical failure rate of a trial batch against the analytic bound and
-    the 3-sigma band around delta."""
+    the 3-sigma band around delta.  Without a bound (the condition fails)
+    analytic_bound is None and the check does not hold."""
     trials = len(records)
     if trials < min_trials:
         raise InsufficientTrials(f"need >= {min_trials} records, got {trials}")
@@ -233,10 +233,11 @@ def check_failure_bound(records, params: InstanceParams, delta: float,
     histogram = {}
     for rec in records:
         histogram[t_of(rec)] = histogram.get(t_of(rec), 0) + 1
+    below = bound is not None and bound <= delta
     return {"claim": "failure_bound", "trials": trials,
             "empirical_failure_rate": empirical,
             "analytic_bound": bound, "delta": delta, "band": band,
             "t_histogram": dict(sorted(histogram.items())),
-            "bound_below_delta": bound <= delta,
+            "bound_below_delta": below,
             "empirical_within_band": empirical <= band,
-            "holds": bound <= delta and empirical <= band}
+            "holds": below and empirical <= band}

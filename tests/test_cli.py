@@ -32,6 +32,14 @@ def test_gen_refuses_bad_condition(tmp_path, capsys):
     assert "ConditionViolated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [[], ["--classical", "--rotate", "x.json"]])
+def test_gen_needs_one_source(tmp_path, source):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *source, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_rotate(tmp_path, capsys):
     src = tmp_path / "inst.json"
     main(["gen", "--classical", "-n", "9", "-k", "3", "-m", "3", "-g", "2",
@@ -145,6 +153,30 @@ def test_verify_failure_bound(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["trials"] == 120
+
+
+def test_no_failure_bound_when_condition_fails(tmp_path, capsys):
+    # k=2, g=3: margin -1.03, so the paper gives no bound on Pr(Failure)
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--classical", "-n", "8", "-k", "2", "-m", "5",
+                 "-g", "3", "--seed", "1", "--threshold", "3",
+                 "-o", str(inst)]) == 0
+    results = tmp_path / "r.jsonl"
+    capsys.readouterr()
+    code = main(["run", str(inst), "--threshold", "3", "--trials", "200",
+                 "-o", str(results)])
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["analytic_bound"] is None
+    # a forced threshold keeps the band-only pass rule
+    assert code == (0 if summary["pass"] else 1)
+    assert summary["pass"] == (1 - summary["success_rate"] <= summary["band"])
+    code = main(["verify", "failure-bound", "--results", str(results),
+                 "--instance", str(inst), "--T", "3", "--delta", "0.25"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["analytic_bound"] is None
+    assert report["bound_below_delta"] is False
+    assert report["holds"] is False
+    assert code == 1
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -10,10 +10,12 @@ from qlll.instances import (
     Explicit,
     InstanceParams,
     ProjectorSpec,
+    Rotated,
     build_instance,
     check_qlll_condition,
     compute_neighborhood,
     generate_classical_instance,
+    haar_unitary_2x2,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -152,6 +154,37 @@ class TestRotation:
             rot.params.k == inst.params.k and rot.params.r == inst.params.r
             and rot.params.g == inst.params.g and rot.params.m == inst.params.m)
         assert rot.neighborhood == inst.neighborhood
+
+    def test_rotating_rotated_is_one_product_rotation(self):
+        inst = generate_classical_instance(8, 3, 4, 3, seed=3)
+        rng = np.random.default_rng(11)
+        first = {q: haar_unitary_2x2(rng) for q in range(8)}
+        second = {q: haar_unitary_2x2(rng) for q in range(8)}
+        twice = rotate_instance(rotate_instance(inst, unitaries=first),
+                                unitaries=second)
+        once = rotate_instance(inst, unitaries={q: second[q] @ first[q]
+                                                for q in range(8)})
+        for a, b in zip(twice.projectors, once.projectors):
+            assert isinstance(a.body, Rotated)
+            np.testing.assert_allclose(a.materialize(), b.materialize(),
+                                       rtol=0, atol=1e-12)
+
+    def test_rotating_explicit_keeps_ranks_and_commutation(self):
+        # an entangled commuting triple: (1 - XXX)/2, (1 - Z0 Z1)/2, (1 - Z1 Z2)/2
+        x = np.array([[0, 1], [1, 0]])
+        z = np.diag([1, -1])
+        xxx = np.kron(np.kron(x, x), x)
+        zz = np.kron(z, z)
+        inst = build_instance(3, [
+            ProjectorSpec((0, 1, 2), Explicit((np.eye(8) - xxx) / 2)),
+            ProjectorSpec((0, 1), Explicit((np.eye(4) - zz) / 2)),
+            ProjectorSpec((1, 2), Explicit((np.eye(4) - zz) / 2))])
+        assert inst.commuting
+        rot = rotate_instance(inst, seed=2)
+        assert all(isinstance(p.body, Explicit) for p in rot.projectors)
+        assert [p.rank() for p in rot.projectors] == [4, 2, 2]
+        assert rot.commuting
+        assert max_commutator_residual(rot.projectors) <= 1e-9
 
 
 class TestValidation:

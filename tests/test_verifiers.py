@@ -116,6 +116,29 @@ class TestCountBound:
         tree = enumerate_history_tree(inst, enum_config(2))
         assert check_history_count_bound(tree, inst.params)["holds"]
 
+    def test_length_and_entropy_violations_reported(self):
+        # m = 2, g = 2, k = 2, r = 1 on n = 2 qubits with N = 4 stock qubits:
+        # a leaf may be m + g*t long and hold N + n - t*k bits of entropy.
+        # Every leaf below is maximally mixed on 6 qubits (entropy 6).
+        params = InstanceParams(k=2, r=1, g=2, m=2)
+
+        def leaf(branch, failures):
+            return verifiers.HistoryNode(branch, 0.5, backends.DensityState(6),
+                                         failures, "Success")
+
+        too_long = leaf((0, 0, 0), 0)      # length 3 > 2; entropy 6 <= 6
+        too_mixed = leaf((1, 0, 0), 1)     # length 3 <= 4; entropy 6 > 4
+        tree = verifiers.HistoryTree(leaves=[too_long, too_mixed],
+                                     initial_entropy=6.0, n=2, stock_N=4,
+                                     pruned_mass=0.0)
+        report = check_history_count_bound(tree, params)
+        assert not report["holds"]
+        assert report["violations"] == [("length", (0, 0, 0)),
+                                         ("entropy", (1, 0, 0),
+                                          pytest.approx(6.0), 4.0)]
+        assert report["worst_length_slack"] == 1
+        assert report["worst_entropy_slack"] == pytest.approx(2.0)
+
 
 class TestStockUse:
     @pytest.mark.parametrize("threshold", [2, 3])
@@ -246,6 +269,16 @@ class TestFailureBound:
         with pytest.raises(InsufficientTrials):
             check_failure_bound([{"result": "Success", "t": 0}] * 10,
                                 InstanceParams(3, 1, 2, 2), 0.5, 72)
+
+    def test_no_bound_when_condition_fails(self):
+        # k=2, r=1, g=3: margin 2 - log2(3e) < 0, so the paper gives no bound
+        assert failure_probability_bound(2, 3, 1, 5, 3) is None
+        report = check_failure_bound([{"result": "Success", "t": 0}] * 100,
+                                     InstanceParams(2, 1, 3, 5), 0.25, 3)
+        assert report["analytic_bound"] is None
+        assert report["empirical_within_band"]
+        assert not report["bound_below_delta"]
+        assert not report["holds"]
 
     @given(t1=st.integers(10, 5000), t2=st.integers(10, 5000))
     @settings(max_examples=50)
