@@ -14,8 +14,11 @@ expectation(spec) reads <P> without measuring, for the final check and the
 monotonicity probe.
 
 Tensor convention: an n-qubit pure state is stored as an ndarray of shape
-(2,)*n with axis q belonging to qubit q; a density matrix uses (2,)*(2n) with
-row axes first.  Bit 0 of a local operator's index is its support[0] qubit
+(2,)*n with axis q belonging to qubit q.  A density matrix is stored in a
+labelled block layout (see DensityState): the rows and columns of a front
+block of qubits, then those of the rest, with a label naming the qubit at
+each position; its plain matrix (row axes first, qubit 0 most significant) is
+built on demand.  Bit 0 of a local operator's index is its support[0] qubit
 (most significant), matching the instance module.
 """
 
@@ -165,10 +168,21 @@ class DensityState:
     """Exact density operator on d labeled qubits, the last `stock` of which
     are fresh maximally mixed stock qubits.
 
+    The register is a flat array of 4^d entries in a labelled block layout:
+    its 2d binary axes are the rows of the front k positions, their columns,
+    then the rows and the columns of the other d - k positions, and
+    `_labels[p]` names the qubit at position p.  A measurement or a reduced
+    state first brings its support to the front (one transpose, skipped when
+    it is there already), so each branch is two small matmuls and inherits
+    the layout.  k = 0 (or k = d) with labels 0..d-1 is the plain matrix,
+    which `rho` returns (reading it rearranges the register; assigning it
+    resets the layout).
+
     replace_qubits(support) swaps the support into the next unused stock
-    qubits while enough are left, so the register's entropy is conserved
-    (`stock_used` counts them, and branches inherit it); otherwise it traces
-    the support out.  With stock=0 every replacement is a partial trace.
+    qubits while enough are left, which only relabels, so the register's
+    entropy is conserved (`stock_used` counts them, and branches inherit
+    it); otherwise it traces the support out.  With stock=0 every
+    replacement is a partial trace.
     """
 
     def __init__(self, d: int, rho=None, stock: int = 0):
@@ -181,52 +195,66 @@ class DensityState:
         dim = 2 ** d
         if rho is None:
             rho = np.eye(dim, dtype=complex) / dim
-        self.rho = np.asarray(rho, dtype=complex)
+        self.rho = rho
 
-    def _tensor(self) -> np.ndarray:
-        return self.rho.reshape((2,) * (2 * self.d))
+    @property
+    def rho(self) -> np.ndarray:
+        """The plain 2^d x 2^d matrix, qubit 0 most significant."""
+        self._arrange(range(self.d))
+        return self._register.reshape(2 ** self.d, 2 ** self.d)
 
-    def _from_tensor(self, t: np.ndarray) -> None:
-        self.rho = t.reshape(2 ** self.d, 2 ** self.d)
+    @rho.setter
+    def rho(self, value) -> None:
+        self._register = np.asarray(value, dtype=complex).reshape(-1)
+        self._front, self._labels = 0, tuple(range(self.d))
 
-    def _blocks(self, support):
-        """The partial traces' shared view: rho with rows and columns ordered
-        (support, rest) as a (2^k, 2^(d-k), 2^k, 2^(d-k)) array, and rest."""
-        rest = [q for q in range(self.d) if q not in support]
-        k = len(support)
-        t = np.moveaxis(self._tensor(), list(support) + rest
-                        + [self.d + q for q in support] + [self.d + q for q in rest],
-                        range(2 * self.d))
-        return t.reshape(2 ** k, 2 ** (self.d - k), 2 ** k, 2 ** (self.d - k)), rest
-
-    def _conjugate(self, mat: np.ndarray, support) -> np.ndarray:
-        """M rho M^dagger as a flat matrix."""
-        t = self._tensor()
-        t = _apply_local(t, mat, support)
-        t = _apply_local(t, mat.conj(), [self.d + q for q in support])
-        return t.reshape(2 ** self.d, 2 ** self.d)
+    def _arrange(self, support) -> np.ndarray:
+        """Bring the support, in its order, to the front of the register and
+        return it as a (2^k, 2^k, 2^(d-k), 2^(d-k)) array."""
+        support = tuple(support)
+        k, d, front = len(support), self.d, self._front
+        labels = support + tuple(q for q in self._labels if q not in support)
+        where = {q: p for p, q in enumerate(self._labels)}
+        pos = [where[q] for q in labels]
+        rows = [p if p < front else front + p for p in pos]
+        cols = [front + p if p < front else d + p for p in pos]
+        axes = rows[:k] + cols[:k] + rows[k:] + cols[k:]
+        if axes != list(range(2 * d)):
+            self._register = self._register.reshape((2,) * (2 * d)) \
+                .transpose(axes).reshape(-1)
+        self._front, self._labels = k, labels
+        rest = 2 ** (d - k)
+        return self._register.reshape(2 ** k, 2 ** k, rest, rest)
 
     def expectation(self, spec: ProjectorSpec) -> float:
-        t = _apply_local(self._tensor(), spec.materialize(), spec.support)
-        return _clamp01(float(np.real(np.trace(t.reshape(2 ** self.d, 2 ** self.d)))))
+        p = np.einsum("ij,ji->", spec.materialize(), self.reduced(spec.support))
+        return _clamp01(float(np.real(p)))
 
     def measure_branches(self, spec: ProjectorSpec):
         """Both outcomes of measuring {P, 1-P}: list of (Outcome, DensityState).
 
         Branch probabilities sum to 1; branches with probability below the
-        pruning threshold are dropped (normalizing one raises
-        ZeroProbabilityBranch, so they are never materialized).
+        pruning threshold are dropped, never normalized.
         """
         mat = spec.materialize()
+        x = self._arrange(spec.support)
+        dim = mat.shape[0]
+        flat = x.reshape(dim, -1)
         branches = []
-        for violated, op in ((1, mat), (0, np.eye(mat.shape[0]) - mat)):
-            post = self._conjugate(op, spec.support)
-            p = _clamp01(float(np.real(np.trace(post))))
+        for violated, op in ((1, mat), (0, np.eye(dim) - mat)):
+            # op on the front rows, then op* on the front columns
+            post = np.matmul(op.conj(), (op @ flat).reshape(dim, dim, -1))
+            p = _clamp01(float(np.real(np.einsum("iiaa->", post.reshape(x.shape)))))
             if p < BRANCH_PRUNE:
                 continue
+            # divide the real and imaginary parts by the real p: numpy's
+            # complex-by-real division takes about four times as long
+            parts = post.view(np.float64)
+            parts /= p
             state = object.__new__(DensityState)
             state.d, state.stock, state.stock_used = self.d, self.stock, self.stock_used
-            state.rho = post / p
+            state._register = post.reshape(-1)
+            state._front, state._labels = self._front, self._labels
             branches.append((Outcome(violated=violated, probability=p), state))
         return branches
 
@@ -240,31 +268,26 @@ class DensityState:
             self.stock_used += k
             self.swap_qubits([(q, first + i) for i, q in enumerate(support)])
             return
-        # `block` (a copy of rho) stays referenced until the new matrix is
-        # built: freeing it first let the allocator hand the heap top back and
-        # fault it in again, twice the page faults of an outcome law
-        block, rest = self._blocks(support)
-        fresh = np.kron(np.eye(2 ** k, dtype=complex) / 2 ** k,
-                        np.einsum("iaib->ab", block))
-        # fresh is ordered (support, rest); put every qubit back on its axis
-        order = list(support) + rest
-        t = np.moveaxis(fresh.reshape((2,) * (2 * self.d)), range(2 * self.d),
-                        order + [self.d + q for q in order])
-        self._from_tensor(t)
+        x = self._arrange(support)
+        dim = x.shape[0]
+        # the partial trace over the support, divided by 2^k, on each of the
+        # 2^k diagonal blocks
+        fresh = np.zeros_like(x)
+        fresh[range(dim), range(dim)] = np.einsum("iiab->ab", x) / dim
+        self._register = fresh.reshape(-1)
 
     def swap_qubits(self, pairs) -> None:
-        """Exchange qubit labels; pairs is a list of (a, b)."""
+        """Exchange qubit labels; pairs is a list of (a, b), applied in order."""
         perm = list(range(self.d))
         for a, b in pairs:
             perm[a], perm[b] = perm[b], perm[a]
-        t = self._tensor()
-        t = np.moveaxis(t, perm + [self.d + q for q in perm], range(2 * self.d))
-        self._from_tensor(t)
+        # qubit q now holds what qubit perm[q] held
+        renamed = {old: q for q, old in enumerate(perm)}
+        self._labels = tuple(renamed[q] for q in self._labels)
 
     def reduced(self, support) -> np.ndarray:
         """Reduced density matrix on the given qubits (in the given order)."""
-        block, _ = self._blocks(support)
-        return np.einsum("iaja->ij", block)
+        return np.einsum("ijaa->ij", self._arrange(support))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def _span(text: str):
     return (int(lo), int(hi or lo))
 
 
+def positive_int(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlll")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -207,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="seeded trial batch over one instance")
     runp.add_argument("instance")
     runp.add_argument("--delta", type=float, default=0.25)
-    runp.add_argument("--trials", type=int, default=100)
+    runp.add_argument("--trials", type=positive_int, default=100)
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--backend", default="diagonal",
                       choices=["diagonal", "trajectory"])

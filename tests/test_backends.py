@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlll.backends import (
+    BRANCH_PRUNE,
     DensityState,
     DiagonalDistribution,
     DiagonalState,
@@ -15,7 +17,8 @@ from qlll.backends import (
     von_neumann_entropy,
 )
 from qlll.errors import DimensionTooLarge, NotNormalized
-from qlll.instances import Diagonal, Explicit, ProjectorSpec, Rotated
+from qlll.instances import (Diagonal, Explicit, ProjectorSpec, Rotated,
+                            haar_unitary_2x2)
 
 
 def diag(support, *patterns):
@@ -183,6 +186,14 @@ class TestReplacement:
         np.testing.assert_allclose(np.diag(state.rho), [0.6, 0.1, 0.3, 0.0],
                                    atol=1e-12)
 
+    def test_swap_qubits_overlapping_pairs(self):
+        # pairs apply in order: (0, 1) then (1, 2) sends qubit 0 -> 2,
+        # 1 -> 0 and 2 -> 1
+        state = DensityState(3, rho=np.diag(np.arange(8.0)) / 28)
+        state.swap_qubits([(0, 1), (1, 2)])
+        np.testing.assert_array_equal(np.diag(state.rho),
+                                      np.array([0, 4, 1, 5, 2, 6, 3, 7]) / 28)
+
     def test_diagonal_distribution_replace(self):
         dist = DiagonalDistribution(2, probs=np.array([[0.9, 0.1], [0.0, 0.0]]))
         dist.replace_qubits([0])
@@ -225,6 +236,188 @@ class TestStock:
         plain.replace_qubits((2, 1))
         assert state.stock_used == 2
         np.testing.assert_array_equal(state.rho, plain.rho)
+
+
+# ---------------------------------------------------------------------------
+# a dense reference for the density register: full 2^d x 2^d operators built
+# from Kronecker products, and partial traces by einsum
+
+def embed(op, support, d):
+    """The d-qubit operator acting as `op` on `support`, support[0] being the
+    most significant bit of op's index."""
+    k = len(support)
+    full = np.zeros((2 ** d, 2 ** d), dtype=complex)
+    for a in range(2 ** k):
+        for b in range(2 ** k):
+            if op[a, b] == 0:
+                continue
+            factors = [np.eye(2)] * d
+            for j, q in enumerate(support):
+                unit = np.zeros((2, 2))
+                unit[(a >> (k - 1 - j)) & 1, (b >> (k - 1 - j)) & 1] = 1.0
+                factors[q] = unit
+            full += op[a, b] * functools.reduce(np.kron, factors)
+    return full
+
+
+def partial_trace(rho, keep, d):
+    """The reduced matrix on `keep`, in that order."""
+    rows = [chr(ord("a") + q) for q in range(d)]
+    cols = [chr(ord("A") + q) if q in keep else rows[q] for q in range(d)]
+    out = "".join(rows[q] for q in keep) + "".join(cols[q] for q in keep)
+    reduced = np.einsum("".join(rows + cols) + "->" + out,
+                        rho.reshape((2,) * (2 * d)))
+    return reduced.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+def depolarize(rho, support, d):
+    """tr_support(rho) with the support maximally mixed: the average of
+    E rho E^dagger over the matrix units E = |a><b| on the support."""
+    dim = 2 ** len(support)
+    out = np.zeros_like(rho)
+    for unit in np.eye(dim * dim).reshape(dim * dim, dim, dim):
+        e = embed(unit, support, d)
+        out += e @ rho @ e.conj().T
+    return out / dim
+
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def random_body(rng, k, explicit):
+    """A rank-r projector on k qubits: a product-rotated diagonal body, or an
+    explicit (generally entangled) one."""
+    rank = int(rng.integers(1, 2 ** k))
+    if explicit:
+        z = rng.standard_normal((2 ** k,) * 2) + 1j * rng.standard_normal((2 ** k,) * 2)
+        basis = np.linalg.qr(z)[0][:, :rank]
+        return Explicit(basis @ basis.conj().T)
+    patterns = rng.choice(2 ** k, size=rank, replace=False)
+    inner = Diagonal(frozenset(format(int(p), f"0{k}b") for p in patterns))
+    return Rotated(inner, tuple(haar_unitary_2x2(rng) for _ in range(k)))
+
+
+@st.composite
+def register_walks(draw):
+    """A register size, a stock size, a seed for the initial state and the
+    bodies, and a sequence of register operations."""
+    d = draw(st.integers(1, 6))
+    stock = draw(st.integers(0, d - 1))
+    support = st.integers(1, min(3, d)).flatmap(
+        lambda k: st.permutations(range(d)).map(lambda p: tuple(p[:k])))
+    step = st.one_of(
+        st.tuples(st.just("measure"), support, st.booleans(), st.integers(0, 1)),
+        st.tuples(st.just("replace"), support),
+        st.tuples(st.just("swap"), st.lists(
+            st.permutations(range(d)).map(lambda p: tuple(p[:2])),
+            min_size=1, max_size=3) if d > 1 else st.just([])),
+        st.tuples(st.just("rho")))
+    steps = draw(st.lists(step, min_size=1, max_size=8))
+    return d, stock, draw(st.integers(0, 2 ** 32 - 1)), steps
+
+
+class TestLayout:
+    """The labelled block layout against the dense reference."""
+
+    @given(register_walks())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_reference(self, walk):
+        d, stock, seed, steps = walk
+        rng = np.random.default_rng(seed)
+        ref = random_density(d, seed)
+        state = DensityState(d, rho=ref, stock=stock)
+        used = 0
+        for step in steps:
+            kind = step[0]
+            if kind == "measure":
+                _, support, explicit, pick = step
+                spec = ProjectorSpec(support, random_body(rng, len(support), explicit))
+                mat = spec.materialize()
+                want = []
+                for violated, op in ((1, mat), (0, np.eye(len(mat)) - mat)):
+                    full = embed(op, support, d)
+                    post = full @ ref @ full.conj().T
+                    p = float(np.real(np.trace(post)))
+                    if p >= BRANCH_PRUNE:
+                        want.append((violated, p, post / p))
+                branches = state.measure_branches(spec)
+                assert [out.violated for out, _ in branches] == [w[0] for w in want]
+                for (out, _), (_, p, _) in zip(branches, want):
+                    assert out.probability == pytest.approx(p, abs=1e-12)
+                pick %= len(want)
+                state, ref = branches[pick][1], want[pick][2]
+            elif kind == "replace":
+                support = step[1]
+                if used + len(support) <= stock:
+                    first = d - stock + used
+                    for i, q in enumerate(support):
+                        if q != first + i:
+                            w = embed(SWAP, (q, first + i), d)
+                            ref = w @ ref @ w.conj().T
+                    used += len(support)
+                else:
+                    ref = depolarize(ref, support, d)
+                state.replace_qubits(support)
+                assert state.stock_used == used
+            elif kind == "swap":
+                for a, b in step[1]:
+                    w = embed(SWAP, (a, b), d)
+                    ref = w @ ref @ w.conj().T
+                state.swap_qubits(step[1])
+            else:
+                np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
+            # read through an unsorted support of the current layout
+            probe = tuple(rng.permutation(d)[:int(rng.integers(1, min(3, d) + 1))])
+            np.testing.assert_allclose(state.reduced(probe),
+                                       partial_trace(ref, probe, d),
+                                       rtol=0, atol=1e-12)
+            spec = ProjectorSpec(probe, random_body(rng, len(probe), True))
+            want = float(np.real(np.trace(embed(spec.materialize(), probe, d) @ ref)))
+            assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
+        np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
+
+
+def measured(seed):
+    """A 4-qubit state after one measurement on an unsorted support, so its
+    register is not in the plain layout, and the next projector to measure."""
+    rng = np.random.default_rng(seed)
+    state = DensityState(4, rho=random_density(4, seed))
+    first = ProjectorSpec((2, 0), random_body(rng, 2, True))
+    (_, state), *_ = state.measure_branches(first)
+    return state, ProjectorSpec((3, 1, 2), random_body(rng, 3, True))
+
+
+class TestRho:
+    def test_reading_twice_gives_equal_arrays(self):
+        state, _ = measured(1)
+        first = state.rho.copy()
+        np.testing.assert_array_equal(state.rho, first)
+
+    def test_reading_leaves_later_branches_unchanged(self):
+        read, spec = measured(2)
+        unread, _ = measured(2)
+        read.rho
+        branches, unread_branches = (read.measure_branches(spec),
+                                     unread.measure_branches(spec))
+        assert len(branches) == len(unread_branches) == 2
+        for (out, post), (out2, post2) in zip(branches, unread_branches):
+            assert out.violated == out2.violated
+            assert out.probability == pytest.approx(out2.probability, abs=1e-15)
+            np.testing.assert_allclose(post.rho, post2.rho, rtol=0, atol=1e-15)
+
+    def test_assigning_resets_the_layout(self):
+        state, spec = measured(3)
+        matrix = random_density(4, seed=4)
+        state.rho = matrix
+        np.testing.assert_array_equal(state.rho, matrix)
+        # qubits are read by their plain labels again
+        np.testing.assert_allclose(state.reduced((3, 0)),
+                                   partial_trace(matrix, (3, 0), 4),
+                                   rtol=0, atol=1e-15)
+        full = embed(spec.materialize(), spec.support, 4)
+        (out, _), *_ = state.measure_branches(spec)
+        assert out.probability == pytest.approx(
+            float(np.real(np.trace(full @ matrix))), abs=1e-12)
 
 
 class TestExpectation:

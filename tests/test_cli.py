@@ -179,6 +179,18 @@ def test_no_failure_bound_when_condition_fails(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_run_needs_a_trial(tmp_path, capsys, trials):
+    # a batch of no trials has no failure rate: a usage error, not a traceback
+    inst = Path(__file__).parent / "data" / "classical.json"
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(inst), "--trials", trials, "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
