@@ -18,8 +18,11 @@ Tensor convention: an n-qubit pure state is stored as an ndarray of shape
 labelled block layout (see DensityState): the rows and columns of a front
 block of qubits, then those of the rest, with a label naming the qubit at
 each position; its plain matrix (row axes first, qubit 0 most significant) is
-built on demand.  Bit 0 of a local operator's index is its support[0] qubit
-(most significant), matching the instance module.
+built on demand.  A density measurement weighs its branches on the reduced
+state of the support and builds each kept one with a single matrix product
+for supports of at most 2 qubits (two for larger ones).  Bit 0 of a local
+operator's index is its support[0] qubit (most significant), matching the
+instance module.
 """
 
 from __future__ import annotations
@@ -173,8 +176,15 @@ class DensityState:
     then the rows and the columns of the other d - k positions, and
     `_labels[p]` names the qubit at position p.  A measurement or a reduced
     state first brings its support to the front (one transpose, skipped when
-    it is there already), so each branch is two small matmuls and inherits
-    the layout.  k = 0 (or k = d) with labels 0..d-1 is the plain matrix,
+    it is there already).  A measurement then reads both Born weights from
+    the 2^k x 2^k reduced state of the support and drops a branch below
+    BRANCH_PRUNE before touching the register.  Each kept branch is built
+    normalised, with 1/p folded into a small operator, and inherits the
+    layout: for k <= 2 it is one product of the superoperator (op/p ⊗ op*)
+    on the (front row, front column) index pair with the register; for
+    larger k, where that superoperator would cost 2^(k-1) times the
+    multiply-adds, it is op on the front rows, then op*/p on the front
+    columns.  k = 0 (or k = d) with labels 0..d-1 is the plain matrix,
     which `rho` returns (reading it rearranges the register; assigning it
     resets the layout).
 
@@ -234,23 +244,26 @@ class DensityState:
         """Both outcomes of measuring {P, 1-P}: list of (Outcome, DensityState).
 
         Branch probabilities sum to 1; branches with probability below the
-        pruning threshold are dropped, never normalized.
+        pruning threshold are dropped before they are built.
         """
         mat = spec.materialize()
         x = self._arrange(spec.support)
         dim = mat.shape[0]
-        flat = x.reshape(dim, -1)
+        reduced = np.einsum("ijaa->ij", x)
         branches = []
         for violated, op in ((1, mat), (0, np.eye(dim) - mat)):
-            # op on the front rows, then op* on the front columns
-            post = np.matmul(op.conj(), (op @ flat).reshape(dim, dim, -1))
-            p = _clamp01(float(np.real(np.einsum("iiaa->", post.reshape(x.shape)))))
+            p = _clamp01(float(np.real(np.vdot(op, op @ reduced))))
             if p < BRANCH_PRUNE:
                 continue
-            # divide the real and imaginary parts by the real p: numpy's
-            # complex-by-real division takes about four times as long
-            parts = post.view(np.float64)
-            parts /= p
+            if dim <= 4:
+                # (op/p ⊗ op*) on the (front row, front column) pair
+                sup = np.multiply.outer(op / p, op.conj()).transpose(0, 2, 1, 3)
+                post = sup.reshape(dim * dim, dim * dim) @ x.reshape(dim * dim, -1)
+            else:
+                # op on the front rows, then op*/p on the front columns: the
+                # superoperator would cost 2^(k-1) times the multiply-adds
+                post = np.matmul(op.conj() / p,
+                                 (op @ x.reshape(dim, -1)).reshape(dim, dim, -1))
             state = object.__new__(DensityState)
             state.d, state.stock, state.stock_used = self.d, self.stock, self.stock_used
             state._register = post.reshape(-1)
@@ -272,7 +285,7 @@ class DensityState:
         dim = x.shape[0]
         # the partial trace over the support, divided by 2^k, on each of the
         # 2^k diagonal blocks
-        fresh = np.zeros_like(x)
+        fresh = np.zeros(x.shape, dtype=complex)
         fresh[range(dim), range(dim)] = np.einsum("iiab->ab", x) / dim
         self._register = fresh.reshape(-1)
 

@@ -159,6 +159,10 @@ def cmd_verify(args) -> int:
                   "holds": all(r["holds"] for r in reports),
                   "reports": reports}
     elif args.check == "failure-bound":
+        if args.instance is None or args.results is None:
+            print("failure-bound needs --instance and --results",
+                  file=sys.stderr)
+            return 2
         instance = instances.load_instance(args.instance)
         with open(args.results) as fh:
             records = [json.loads(line) for line in fh if line.strip()]
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--traversal", default="ascending",
                       choices=["ascending", "random"])
     runp.add_argument("--threshold", type=int, default=None)
-    runp.add_argument("--workers", type=int, default=1)
+    runp.add_argument("--workers", type=positive_int, default=1)
     runp.add_argument("--no-timing", action="store_true",
                       help="zero the elapsed_ns field for byte-stable outputs")
     runp.add_argument("-o", "--output", default="results.jsonl")
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--T", type=int, default=None,
                      help="threshold override (entropy/counts default 2; "
                           "failure-bound defaults to the instance's own T)")
-    ver.add_argument("--random", type=int, default=100,
+    ver.add_argument("--random", type=positive_int, default=100,
                      help="number of random trees for entropy/counts")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--commuting", action="store_true",

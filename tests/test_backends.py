@@ -377,6 +377,44 @@ class TestLayout:
         np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
 
 
+class TestMeasureStep:
+    """measure_branches against the dense reference on both of its paths:
+    one superoperator product for supports of 1 and 2 qubits, two products
+    for 3 and 4."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_matches_dense_reference(self, k, explicit):
+        d = 6
+        rng = np.random.default_rng(10 * k + explicit)
+        rho = random_density(d, seed=k)
+        support = tuple(int(q) for q in rng.permutation(d)[:k])
+        spec = ProjectorSpec(support, random_body(rng, k, explicit))
+        mat = spec.materialize()
+        branches = DensityState(d, rho=rho).measure_branches(spec)
+        assert [out.violated for out, _ in branches] == [1, 0]
+        for (out, post), op in zip(branches, (mat, np.eye(2 ** k) - mat)):
+            full = embed(op, support, d)
+            want = full @ rho @ full.conj().T
+            p = float(np.real(np.trace(want)))
+            assert out.probability == pytest.approx(p, abs=1e-12)
+            np.testing.assert_allclose(post.rho, want / p, rtol=0, atol=1e-12)
+            assert abs(np.trace(post.rho) - 1) < 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_repeated_violation_keeps_one_branch(self, k):
+        rng = np.random.default_rng(k)
+        support = tuple(int(q) for q in rng.permutation(6)[:k])
+        spec = ProjectorSpec(support, random_body(rng, k, True))
+        (out, violated), _ = DensityState(
+            6, rho=random_density(6, seed=k)).measure_branches(spec)
+        assert out.violated == 1
+        (again, post), = violated.measure_branches(spec)
+        assert again.violated == 1
+        assert again.probability == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(post.rho, violated.rho, rtol=0, atol=1e-12)
+
+
 def measured(seed):
     """A 4-qubit state after one measurement on an unsorted support, so its
     register is not in the plain layout, and the next projector to measure."""

@@ -191,6 +191,50 @@ def test_run_needs_a_trial(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_needs_a_worker(tmp_path, capsys, workers):
+    # a pool of no workers is a usage error, not a silent serial run
+    inst = Path(__file__).parent / "data" / "classical.json"
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(inst), "--workers", workers, "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["entropy", "counts"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_needs_a_tree(capsys, check, count):
+    # a claim checked over no trees would hold vacuously
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", check, "--random", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--random" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("given", [[], ["--instance", "x.json"],
+                                   ["--results", "r.jsonl"]])
+def test_verify_failure_bound_needs_its_inputs(tmp_path, capsys, given):
+    # exit 1 is reserved for a failed check
+    code = main(["verify", "failure-bound", *given])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "failure-bound needs --instance and --results\n"
+
+
+def test_python_m_qlll(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(qlll.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlll", "verify", "binom", "--m-max", "3",
+         "--g-max", "3", "--t-max", "3"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["holds"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
