@@ -247,11 +247,14 @@ class DensityState:
         pruning threshold are dropped before they are built.
         """
         mat = spec.materialize()
-        x = self._arrange(spec.support)
+        reduced = self.reduced(spec.support)
+        x = self._arrange(spec.support)  # already in place: no transpose
         dim = mat.shape[0]
-        reduced = np.einsum("ijaa->ij", x)
         branches = []
         for violated, op in ((1, mat), (0, np.eye(dim) - mat)):
+            # tr(op rho op^†), the trace of the branch built below, not
+            # expectation's tr(op rho): the two agree only up to rounding,
+            # which a weight near BRANCH_PRUNE would magnify in its branch
             p = _clamp01(float(np.real(np.vdot(op, op @ reduced))))
             if p < BRANCH_PRUNE:
                 continue

@@ -218,6 +218,8 @@ def test_verify_needs_a_tree(capsys, check, count):
                                    ["--results", "r.jsonl"]])
 def test_verify_failure_bound_needs_its_inputs(tmp_path, capsys, given):
     # exit 1 is reserved for a failed check
+    given = [str(tmp_path / a) if a.endswith(("json", "jsonl")) else a
+             for a in given]
     code = main(["verify", "failure-bound", *given])
     captured = capsys.readouterr()
     assert code == 2
