@@ -14,15 +14,18 @@ expectation(spec) reads <P> without measuring, for the final check and the
 monotonicity probe.
 
 Tensor convention: an n-qubit pure state is stored as an ndarray of shape
-(2,)*n with axis q belonging to qubit q.  A density matrix is stored in a
+(2,)*n with axis q belonging to qubit q.  A density matrix stores only its
+active qubits, those measured since their last replacement: every other
+qubit is an implicit maximally mixed factor I/2.  The active ones sit in a
 labelled block layout (see DensityState): the rows and columns of a front
 block of qubits, then those of the rest, with a label naming the qubit at
-each position; its plain matrix (row axes first, qubit 0 most significant) is
-built on demand.  A density measurement weighs its branches on the reduced
+each position.  The plain matrix (row axes first, qubit 0 most significant)
+is built on demand, and so is any missing qubit a reduced state or an
+expectation reads.  A density measurement weighs its branches on the reduced
 state of the support and builds each kept one with a single matrix product
-for supports of at most 2 qubits (two for larger ones).  Bit 0 of a local
-operator's index is its support[0] qubit (most significant), matching the
-instance module.
+for supports of at most 2 qubits (two for larger ones), folding a missing
+support qubit into the operator.  Bit 0 of a local operator's index is its
+support[0] qubit (most significant), matching the instance module.
 """
 
 from __future__ import annotations
@@ -171,28 +174,40 @@ class DensityState:
     """Exact density operator on d labeled qubits, the last `stock` of which
     are fresh maximally mixed stock qubits.
 
-    The register is a flat array of 4^d entries in a labelled block layout:
-    its 2d binary axes are the rows of the front k positions, their columns,
-    then the rows and the columns of the other d - k positions, and
-    `_labels[p]` names the qubit at position p.  A measurement or a reduced
-    state first brings its support to the front (one transpose, skipped when
-    it is there already).  A measurement then reads both Born weights from
-    the 2^k x 2^k reduced state of the support and drops a branch below
-    BRANCH_PRUNE before touching the register.  Each kept branch is built
-    normalised, with 1/p folded into a small operator, and inherits the
-    layout: for k <= 2 it is one product of the superoperator (op/p ⊗ op*)
-    on the (front row, front column) index pair with the register; for
-    larger k, where that superoperator would cost 2^(k-1) times the
-    multiply-adds, it is op on the front rows, then op*/p on the front
-    columns.  k = 0 (or k = d) with labels 0..d-1 is the plain matrix,
-    which `rho` returns (reading it rearranges the register; assigning it
-    resets the layout).
+    The state is rho_active ⊗ I/2^u: only the active qubits, those measured
+    since their last replacement, are stored, and the u others are an
+    implicit maximally mixed factor.  DensityState(d) starts with no active
+    qubit (a 1-entry register), DensityState(d, rho) with all d.  The
+    register is a flat array of 4^a entries for a active qubits in a
+    labelled block layout: its 2a binary axes are the rows of the front k
+    positions, their columns, then the rows and the columns of the other
+    a - k positions, and `_labels[p]` names the qubit at position p; a qubit
+    missing from `_labels` is unstored.
+
+    A reduced state or an expectation first makes its support active (each
+    missing qubit joins the rest block as an I/2 factor) and brings it to
+    the front (one transpose, skipped when it is there already).  A
+    measurement brings only the support's active qubits to the front and
+    folds the missing ones into the operator, as its columns summed against
+    I/m.  It then reads both Born weights from the reduced state of the
+    support and drops a branch below BRANCH_PRUNE before touching the
+    register.  Each kept branch is built normalised, with 1/p folded into a
+    small operator, and holds the whole support at the front: for k <= 2 it
+    is one product of the superoperator (op/p ⊗ op*) on the (front row,
+    front column) index pair with the register; for larger k, where that
+    superoperator would cost 2^(k-1) times the multiply-adds, it is op on
+    the front rows, then op*/p on the front columns.  All d qubits active
+    with k = 0 (or k = d) and labels 0..d-1 is the plain matrix, which `rho`
+    returns (reading it makes every qubit active and rearranges the
+    register; assigning it resets the layout).
 
     replace_qubits(support) swaps the support into the next unused stock
-    qubits while enough are left, which only relabels, so the register's
-    entropy is conserved (`stock_used` counts them, and branches inherit
-    it); otherwise it traces the support out.  With stock=0 every
-    replacement is a partial trace.
+    qubits while enough are left, which only relabels (an active qubit
+    renamed to unused stock makes that stock active and leaves its old
+    label unstored), so the register's entropy is conserved (`stock_used`
+    counts them, and branches inherit it); otherwise it traces the support
+    out, which leaves it unstored.  With stock=0 every replacement is a
+    partial trace.
     """
 
     def __init__(self, d: int, rho=None, stock: int = 0):
@@ -202,10 +217,12 @@ class DensityState:
         self.d = d
         self.stock = stock
         self.stock_used = 0
-        dim = 2 ** d
         if rho is None:
-            rho = np.eye(dim, dtype=complex) / dim
-        self.rho = rho
+            # every qubit maximally mixed: nothing active, a 1-entry register
+            self._register = np.ones(1, dtype=complex)
+            self._front, self._labels = 0, ()
+        else:
+            self.rho = rho
 
     @property
     def rho(self) -> np.ndarray:
@@ -219,21 +236,34 @@ class DensityState:
         self._front, self._labels = 0, tuple(range(self.d))
 
     def _arrange(self, support) -> np.ndarray:
-        """Bring the support, in its order, to the front of the register and
-        return it as a (2^k, 2^k, 2^(d-k), 2^(d-k)) array."""
+        """Make the support active, append its missing qubits to the rest
+        block as I/2 factors, bring it, in its order, to the front of the
+        register with one transpose, and return the register as a
+        (2^k, 2^k, 2^(a-k), 2^(a-k)) array for a active qubits."""
         support = tuple(support)
-        k, d, front = len(support), self.d, self._front
-        labels = support + tuple(q for q in self._labels if q not in support)
-        where = {q: p for p, q in enumerate(self._labels)}
+        k, front, old = len(support), self._front, self._labels
+        where = {q: p for p, q in enumerate(old)}
+        a = len(old)
+        missing = [q for q in support if q not in where]
+        register = self._register
+        if missing:
+            m = 2 ** len(missing)
+            register = np.multiply.outer(register, np.eye(m) / m)
+            where.update((q, a + i) for i, q in enumerate(missing))
+        n = len(where)
+        labels = support + tuple(q for q in old if q not in support)
         pos = [where[q] for q in labels]
-        rows = [p if p < front else front + p for p in pos]
-        cols = [front + p if p < front else d + p for p in pos]
+        # the row and column axes of position p: front block, rest block,
+        # then the appended I/2 factors
+        rows = [p if p < front else front + p if p < a else a + p for p in pos]
+        cols = [front + p if p < front else a + p if p < a else n + p
+                for p in pos]
         axes = rows[:k] + cols[:k] + rows[k:] + cols[k:]
-        if axes != list(range(2 * d)):
-            self._register = self._register.reshape((2,) * (2 * d)) \
-                .transpose(axes).reshape(-1)
+        if axes != list(range(2 * n)):
+            register = register.reshape((2,) * (2 * n)).transpose(axes)
+        self._register = register.reshape(-1)
         self._front, self._labels = k, labels
-        rest = 2 ** (d - k)
+        rest = 2 ** (n - k)
         return self._register.reshape(2 ** k, 2 ** k, rest, rest)
 
     def expectation(self, spec: ProjectorSpec) -> float:
@@ -247,50 +277,61 @@ class DensityState:
         pruning threshold are dropped before they are built.
         """
         mat = spec.materialize()
-        reduced = self.reduced(spec.support)
-        x = self._arrange(spec.support)  # already in place: no transpose
-        dim = mat.shape[0]
+        support, dim = spec.support, mat.shape[0]
+        # a support qubit the register does not hold is folded into the
+        # operator as its I/2 factor, never stored
+        active = tuple(q for q in support if q in self._labels)
+        reduced = self.reduced(active)
+        x = self._arrange(active)  # already in place: no transpose
+        da, m = reduced.shape[0], dim // reduced.shape[0]
+        # op as (row, missing column bits, active column bits)
+        cols = [0] + [1 + i for i, q in enumerate(support) if q not in active] \
+            + [1 + i for i, q in enumerate(support) if q in active]
+        labels = support + self._labels[len(active):]
         branches = []
         for violated, op in ((1, mat), (0, np.eye(dim) - mat)):
-            # tr(op rho op^†), the trace of the branch built below, not
-            # expectation's tr(op rho): the two agree only up to rounding,
-            # which a weight near BRANCH_PRUNE would magnify in its branch
-            p = _clamp01(float(np.real(np.vdot(op, op @ reduced))))
+            v = op.reshape((dim,) + (2,) * len(support)).transpose(cols) \
+                .reshape(dim, m, da)
+            # tr(op rho op^†) with rho_S = reduced ⊗ I/m, the trace of the
+            # branch built below, not expectation's tr(op rho): the two agree
+            # only up to rounding, which a weight near BRANCH_PRUNE would
+            # magnify in its branch
+            p = _clamp01(float(np.real(np.vdot(v, v @ reduced))) / m)
             if p < BRANCH_PRUNE:
                 continue
             if dim <= 4:
-                # (op/p ⊗ op*) on the (front row, front column) pair
-                sup = np.multiply.outer(op / p, op.conj()).transpose(0, 2, 1, 3)
-                post = sup.reshape(dim * dim, dim * dim) @ x.reshape(dim * dim, -1)
+                # (op/p ⊗ op*), summed against I/m, on the (front row, front
+                # column) pair
+                sup = np.einsum("ima,jmb->ijab", v / (m * p), v.conj())
+                post = sup.reshape(dim * dim, da * da) @ x.reshape(da * da, -1)
             else:
-                # op on the front rows, then op*/p on the front columns: the
-                # superoperator would cost 2^(k-1) times the multiply-adds
-                post = np.matmul(op.conj() / p,
-                                 (op @ x.reshape(dim, -1)).reshape(dim, dim, -1))
+                # op on the front rows, then op*/(m p) on the front columns
+                # and the missing bits: the superoperator would cost 2^(k-1)
+                # times the multiply-adds
+                rows = v.reshape(dim * m, da) @ x.reshape(da, -1)
+                post = np.matmul(v.reshape(dim, m * da).conj() / (m * p),
+                                 rows.reshape(dim, m * da, -1))
             state = object.__new__(DensityState)
             state.d, state.stock, state.stock_used = self.d, self.stock, self.stock_used
             state._register = post.reshape(-1)
-            state._front, state._labels = self._front, self._labels
+            state._front, state._labels = len(support), labels
             branches.append((Outcome(violated=violated, probability=p), state))
         return branches
 
     def replace_qubits(self, support) -> None:
         """Swap the support into the next unused stock qubits, or, with too
-        few left, trace it out and re-tensor it maximally mixed; the other
-        non-stock qubits are untouched either way."""
+        few left, trace it out, which leaves it maximally mixed and unstored;
+        the other non-stock qubits are untouched either way."""
         k = len(support)
         if self.stock_used + k <= self.stock:
             first = self.d - self.stock + self.stock_used
             self.stock_used += k
             self.swap_qubits([(q, first + i) for i, q in enumerate(support)])
             return
-        x = self._arrange(support)
-        dim = x.shape[0]
-        # the partial trace over the support, divided by 2^k, on each of the
-        # 2^k diagonal blocks
-        fresh = np.zeros(x.shape, dtype=complex)
-        fresh[range(dim), range(dim)] = np.einsum("iiab->ab", x) / dim
-        self._register = fresh.reshape(-1)
+        active = [q for q in support if q in self._labels]
+        x = self._arrange(active)
+        self._register = np.einsum("iiab->ab", x).reshape(-1)
+        self._front, self._labels = 0, self._labels[len(active):]
 
     def swap_qubits(self, pairs) -> None:
         """Exchange qubit labels; pairs is a list of (a, b), applied in order."""

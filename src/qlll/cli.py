@@ -1,9 +1,10 @@
 """Command-line front end: instance generation, seeded batch experiments with
 JSON-lines output, and the verifier suite.
 
-Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage/input error,
-141 (128 + SIGPIPE, as the shell reports a process the closed pipe killed)
-when the reader closes stdout early.
+Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage/input error
+(a file that cannot be read or written included), 141 (128 + SIGPIPE, as
+the shell reports a process the closed pipe killed) when the reader closes
+stdout early.
 """
 
 from __future__ import annotations
@@ -276,6 +277,11 @@ def main(argv=None) -> int:
         # stdout at devnull so the interpreter's final flush cannot fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        # a missing or unreadable input, or an unwritable output (a closed
+        # stdout, BrokenPipeError, is an OSError too and is handled above)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import functools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,60 @@ def register_walks(draw):
     return d, stock, draw(st.integers(0, 2 ** 32 - 1)), steps
 
 
+def follow_walk(state, ref, d, stock, rng, steps):
+    """Run a register walk on `state` and on its dense reference `ref`,
+    checking every branch probability, reduced(), expectation() and rho to
+    1e-12 along the way."""
+    used = 0
+    for step in steps:
+        kind = step[0]
+        if kind == "measure":
+            _, support, explicit, pick = step
+            spec = ProjectorSpec(support, random_body(rng, len(support), explicit))
+            mat = spec.materialize()
+            want = []
+            for violated, op in ((1, mat), (0, np.eye(len(mat)) - mat)):
+                full = embed(op, support, d)
+                post = full @ ref @ full.conj().T
+                p = float(np.real(np.trace(post)))
+                if p >= BRANCH_PRUNE:
+                    want.append((violated, p, post / p))
+            branches = state.measure_branches(spec)
+            assert [out.violated for out, _ in branches] == [w[0] for w in want]
+            for (out, _), (_, p, _) in zip(branches, want):
+                assert out.probability == pytest.approx(p, abs=1e-12)
+            pick %= len(want)
+            state, ref = branches[pick][1], want[pick][2]
+        elif kind == "replace":
+            support = step[1]
+            if used + len(support) <= stock:
+                first = d - stock + used
+                for i, q in enumerate(support):
+                    if q != first + i:
+                        w = embed(SWAP, (q, first + i), d)
+                        ref = w @ ref @ w.conj().T
+                used += len(support)
+            else:
+                ref = depolarize(ref, support, d)
+            state.replace_qubits(support)
+            assert state.stock_used == used
+        elif kind == "swap":
+            for a, b in step[1]:
+                w = embed(SWAP, (a, b), d)
+                ref = w @ ref @ w.conj().T
+            state.swap_qubits(step[1])
+        else:
+            np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
+        probe = tuple(rng.permutation(d)[:int(rng.integers(1, min(3, d) + 1))])
+        np.testing.assert_allclose(state.reduced(probe),
+                                   partial_trace(ref, probe, d),
+                                   rtol=0, atol=1e-12)
+        spec = ProjectorSpec(probe, random_body(rng, len(probe), True))
+        want = float(np.real(np.trace(embed(spec.materialize(), probe, d) @ ref)))
+        assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
+    np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
+
+
 class TestLayout:
     """The labelled block layout against the dense reference."""
 
@@ -375,6 +430,33 @@ class TestLayout:
             want = float(np.real(np.trace(embed(spec.materialize(), probe, d) @ ref)))
             assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
         np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
+
+    @given(register_walks())
+    @settings(max_examples=100, deadline=None)
+    def test_unstored_qubits_match_dense_reference(self, walk):
+        # from the maximally mixed state every qubit starts unstored; the
+        # walk's measurements, out-of-stock replacements and relabels then
+        # mix stored and unstored qubits in one register
+        d, stock, seed, steps = walk
+        follow_walk(DensityState(d, stock=stock),
+                    np.eye(2 ** d, dtype=complex) / 2 ** d,
+                    d, stock, np.random.default_rng(seed), steps)
+
+
+class TestLaziness:
+    def test_fresh_qubits_are_never_stored(self):
+        # one register of 4^8 complex entries takes 16 * 4^8 bytes (1 MB);
+        # measuring and replacing 2 of 8 fresh qubits needs a few hundred
+        spec = ProjectorSpec((5, 2), random_body(np.random.default_rng(0), 2, True))
+        spec.materialize()
+        tracemalloc.start()
+        try:
+            for _, branch in DensityState(8).measure_branches(spec):
+                branch.replace_qubits(spec.support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4 ** 8 // 64
 
 
 class TestMeasureStep:

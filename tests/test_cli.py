@@ -227,6 +227,31 @@ def test_verify_failure_bound_needs_its_inputs(tmp_path, capsys, given):
     assert captured.err == "failure-bound needs --instance and --results\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{missing}"],
+    ["run", "{folder}"],
+    ["gen", "--rotate", "{missing}"],
+    ["verify", "failure-bound", "--instance", "{missing}", "--results", "{results}"],
+    ["verify", "failure-bound", "--instance", "{instance}", "--results", "{missing}"],
+], ids=["run", "run-folder", "gen-rotate", "failure-bound-instance",
+        "failure-bound-results"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 is reserved for a failed check; no traceback, one line
+    results = tmp_path / "results.jsonl"
+    results.write_text("")
+    paths = {"missing": tmp_path / "nope.json", "folder": tmp_path,
+             "results": results,
+             "instance": Path(__file__).parent / "data" / "classical.json"}
+    argv = [a.format(**paths) for a in argv]
+    code = main([*argv, "-o", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(("FileNotFoundError", "IsADirectoryError"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_python_m_qlll(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(qlll.__file__).parents[1]))
     proc = subprocess.run(

@@ -10,6 +10,7 @@ from qlll.instances import (
     Diagonal,
     InstanceParams,
     ProjectorSpec,
+    Rotated,
     build_instance,
     generate_classical_instance,
     random_instance,
@@ -61,6 +62,21 @@ class TestHistoryTree:
         total = sum(leaf.probability for leaf in tree.leaves)
         assert total == pytest.approx(1.0, abs=1e-9 + tree.pruned_mass)
 
+    def test_rare_outcome_is_kept(self):
+        # the second clause is |1><1| turned by 1e-3 rad: once the first has
+        # found |0>, it is violated with probability sin^2(1e-3) ~ 1e-6
+        angle = 1e-3
+        turn = np.array([[math.cos(angle), -math.sin(angle)],
+                         [math.sin(angle), math.cos(angle)]], dtype=complex)
+        inst = build_instance(1, [diag([0], "1"), ProjectorSpec(
+            (0,), Rotated(Diagonal(frozenset({"1"})), (turn,)))])
+        tree = enumerate_history_tree(inst, enum_config(1),
+                                      materialize_stock=False)
+        probs = {leaf.branch_string: leaf.probability for leaf in tree.leaves}
+        assert probs[(0, 1)] == pytest.approx(0.5 * math.sin(angle) ** 2,
+                                              rel=1e-9)
+        assert tree.pruned_mass <= 1e-12
+
     def test_branch_length_bounded(self):
         inst = random_instance(3, 2, 3, seed=5, commuting=True)
         tree = enumerate_history_tree(inst, enum_config(2))
@@ -91,6 +107,16 @@ class TestEntropyClaim:
         inst = random_instance(3, 2, 2, rank=rank, seed=seed, commuting=commuting)
         report = check_entropy_claim(enumerate_history_tree(inst, enum_config(2)))
         assert report["holds"], report
+
+    def test_shortfall_is_reported(self):
+        # one certain leaf holding 1 bit of entropy on 2 qubits: rhs = 0 + 1
+        half = backends.DensityState(2, rho=np.diag([0.5, 0.5, 0, 0]).astype(complex))
+        tree = verifiers.HistoryTree(
+            leaves=[verifiers.HistoryNode((0,), 1.0, half, 0, "Success")],
+            initial_entropy=2.0, n=2, stock_N=0, pruned_mass=0.0)
+        report = check_entropy_claim(tree)
+        assert report["rhs"] == pytest.approx(1.0)
+        assert not report["holds"]
 
 
 class TestCountBound:
