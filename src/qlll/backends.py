@@ -14,18 +14,20 @@ expectation(spec) reads <P> without measuring, for the final check and the
 monotonicity probe.
 
 Tensor convention: an n-qubit pure state is stored as an ndarray of shape
-(2,)*n with axis q belonging to qubit q.  A density matrix stores only its
-active qubits, those measured since their last replacement: every other
-qubit is an implicit maximally mixed factor I/2.  The active ones sit in a
-labelled block layout (see DensityState): the rows and columns of a front
-block of qubits, then those of the rest, with a label naming the qubit at
-each position.  The plain matrix (row axes first, qubit 0 most significant)
-is built on demand, and so is any missing qubit a reduced state or an
-expectation reads.  A density measurement weighs its branches on the reduced
-state of the support and builds each kept one with a single matrix product
-for supports of at most 2 qubits (two for larger ones), folding a missing
-support qubit into the operator.  Bit 0 of a local operator's index is its
-support[0] qubit (most significant), matching the instance module.
+(2,)*n with axis q belonging to qubit q.  A density register holds exactly
+its active qubits, those measured since their last replacement: every other
+qubit is an implicit maximally mixed factor I/2 and is never stored.  The
+active ones sit in a labelled block layout (see DensityState): the rows and
+columns of a front block of qubits, then those of the rest, with a label
+naming the qubit at each position.  An unstored support qubit is folded in
+where it is needed: a measurement folds it into its operator, a reduced
+state or an expectation into its 2^k x 2^k result.  A density measurement
+weighs its branches on the reduced state of the support and builds each kept
+one with a single matrix product for supports of at most 2 qubits (two for
+larger ones).  The plain matrix (row axes first, qubit 0 most significant)
+is the reduced state on every qubit; reading it keeps it as the register.
+Bit 0 of a local operator's index is its support[0] qubit (most
+significant), matching the instance module.
 """
 
 from __future__ import annotations
@@ -58,11 +60,10 @@ def shannon_entropy(probabilities, atol=1e-9) -> float:
     return float(-(p * np.log2(p)).sum()) if p.size else 0.0
 
 
-def von_neumann_entropy(state_or_matrix) -> float:
-    """Base-2 von Neumann entropy; eigenvalues below 1e-12 contribute 0."""
-    rho = state_or_matrix.rho if isinstance(state_or_matrix, DensityState) \
-        else np.asarray(state_or_matrix, dtype=complex)
-    evals = np.linalg.eigvalsh(rho)
+def von_neumann_entropy(rho) -> float:
+    """Base-2 von Neumann entropy of a density matrix; eigenvalues below
+    1e-12 contribute 0."""
+    evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     evals = evals[evals > EIG_FLOOR]
     return float(-(evals * np.log2(evals)).sum()) if evals.size else 0.0
 
@@ -150,9 +151,7 @@ class TrajectoryState:
             p1 = _clamp01(float((np.abs(marginal[1]) ** 2).sum()
                                 / (np.abs(self.psi) ** 2).sum()))
             observed = int(self.rng.random() < p1)
-            keep = np.zeros_like(self.psi)
-            np.moveaxis(keep, q, 0)[observed] = marginal[observed]
-            self.psi = keep
+            marginal[1 - observed] = 0  # a view: zeroes psi's other half
             self._renormalize()
             fresh = int(self.rng.integers(0, 2))
             if fresh != observed:
@@ -174,32 +173,34 @@ class DensityState:
     """Exact density operator on d labeled qubits, the last `stock` of which
     are fresh maximally mixed stock qubits.
 
-    The state is rho_active ⊗ I/2^u: only the active qubits, those measured
-    since their last replacement, are stored, and the u others are an
-    implicit maximally mixed factor.  DensityState(d) starts with no active
-    qubit (a 1-entry register), DensityState(d, rho) with all d.  The
+    The state is rho_active ⊗ I/2^u: the register holds exactly the active
+    qubits, those measured since their last replacement, and the u others
+    are an implicit maximally mixed factor.  DensityState(d) starts with no
+    active qubit (a 1-entry register), DensityState(d, rho) with all d.  The
     register is a flat array of 4^a entries for a active qubits in a
     labelled block layout: its 2a binary axes are the rows of the front k
     positions, their columns, then the rows and the columns of the other
     a - k positions, and `_labels[p]` names the qubit at position p; a qubit
     missing from `_labels` is unstored.
 
-    A reduced state or an expectation first makes its support active (each
-    missing qubit joins the rest block as an I/2 factor) and brings it to
-    the front (one transpose, skipped when it is there already).  A
-    measurement brings only the support's active qubits to the front and
-    folds the missing ones into the operator, as its columns summed against
-    I/m.  It then reads both Born weights from the reduced state of the
+    One rule covers an unstored support qubit: it is never stored.  A
+    measurement, a reduced state and an expectation each bring the
+    support's stored qubits to the front (one transpose, skipped when they
+    are there already).  A reduced state, and so an expectation, folds the
+    unstored ones into its 2^k x 2^k result as I/m; a measurement folds
+    them into its operator, as its columns summed against I/m.  The
+    measurement then reads both Born weights from the reduced state of the
     support and drops a branch below BRANCH_PRUNE before touching the
     register.  Each kept branch is built normalised, with 1/p folded into a
     small operator, and holds the whole support at the front: for k <= 2 it
     is one product of the superoperator (op/p ⊗ op*) on the (front row,
     front column) index pair with the register; for larger k, where that
     superoperator would cost 2^(k-1) times the multiply-adds, it is op on
-    the front rows, then op*/p on the front columns.  All d qubits active
-    with k = 0 (or k = d) and labels 0..d-1 is the plain matrix, which `rho`
-    returns (reading it makes every qubit active and rearranges the
-    register; assigning it resets the layout).
+    the front rows, then op*/p on the front columns.  `rho` is the reduced
+    state on qubits 0..d-1, the plain matrix, and reading it stores it back
+    as the register (all d qubits active, k = 0, labels 0..d-1): a leaf's
+    4^d entries are then built once, not freed and built again at each
+    read.  Assigning `rho` resets the layout.
 
     replace_qubits(support) swaps the support into the next unused stock
     qubits while enough are left, which only relabels (an active qubit
@@ -226,8 +227,10 @@ class DensityState:
 
     @property
     def rho(self) -> np.ndarray:
-        """The plain 2^d x 2^d matrix, qubit 0 most significant."""
-        self._arrange(range(self.d))
+        """The plain 2^d x 2^d matrix, qubit 0 most significant.  Reading it
+        stores every qubit and keeps the matrix as the register, so a large
+        matrix is built once rather than freed and built again."""
+        self.rho = self.reduced(range(self.d))
         return self._register.reshape(2 ** self.d, 2 ** self.d)
 
     @rho.setter
@@ -235,36 +238,31 @@ class DensityState:
         self._register = np.asarray(value, dtype=complex).reshape(-1)
         self._front, self._labels = 0, tuple(range(self.d))
 
-    def _arrange(self, support) -> np.ndarray:
-        """Make the support active, append its missing qubits to the rest
-        block as I/2 factors, bring it, in its order, to the front of the
-        register with one transpose, and return the register as a
-        (2^k, 2^k, 2^(a-k), 2^(a-k)) array for a active qubits."""
-        support = tuple(support)
-        k, front, old = len(support), self._front, self._labels
+    def _arrange(self, support):
+        """Bring the support's stored qubits, in support order, to the front
+        of the register with one transpose (skipped when they are there
+        already).  Returns the register as a (2^s, 2^s, 2^(a-s), 2^(a-s))
+        array for s stored support qubits out of a stored ones, and the
+        support's bit positions, unstored qubits first: the order of the
+        bits of the support's index in I/m ⊗ (the front block)."""
+        front, old = self._front, self._labels
         where = {q: p for p, q in enumerate(old)}
-        a = len(old)
-        missing = [q for q in support if q not in where]
-        register = self._register
-        if missing:
-            m = 2 ** len(missing)
-            register = np.multiply.outer(register, np.eye(m) / m)
-            where.update((q, a + i) for i, q in enumerate(missing))
-        n = len(where)
-        labels = support + tuple(q for q in old if q not in support)
+        stored = tuple(q for q in support if q in where)
+        bits = [i for i, q in enumerate(support) if q not in where] \
+            + [i for i, q in enumerate(support) if q in where]
+        s, a = len(stored), len(old)
+        labels = stored + tuple(q for q in old if q not in stored)
         pos = [where[q] for q in labels]
-        # the row and column axes of position p: front block, rest block,
-        # then the appended I/2 factors
-        rows = [p if p < front else front + p if p < a else a + p for p in pos]
-        cols = [front + p if p < front else a + p if p < a else n + p
-                for p in pos]
-        axes = rows[:k] + cols[:k] + rows[k:] + cols[k:]
-        if axes != list(range(2 * n)):
-            register = register.reshape((2,) * (2 * n)).transpose(axes)
-        self._register = register.reshape(-1)
-        self._front, self._labels = k, labels
-        rest = 2 ** (n - k)
-        return self._register.reshape(2 ** k, 2 ** k, rest, rest)
+        # the row and column axes of position p: front block, then rest block
+        rows = [p if p < front else front + p for p in pos]
+        cols = [front + p if p < front else a + p for p in pos]
+        axes = rows[:s] + cols[:s] + rows[s:] + cols[s:]
+        if axes != list(range(2 * a)):
+            self._register = self._register.reshape((2,) * (2 * a)) \
+                .transpose(axes).reshape(-1)
+        self._front, self._labels = s, labels
+        rest = 2 ** (a - s)
+        return self._register.reshape(2 ** s, 2 ** s, rest, rest), bits
 
     def expectation(self, spec: ProjectorSpec) -> float:
         p = np.einsum("ij,ji->", spec.materialize(), self.reduced(spec.support))
@@ -278,16 +276,13 @@ class DensityState:
         """
         mat = spec.materialize()
         support, dim = spec.support, mat.shape[0]
-        # a support qubit the register does not hold is folded into the
-        # operator as its I/2 factor, never stored
-        active = tuple(q for q in support if q in self._labels)
-        reduced = self.reduced(active)
-        x = self._arrange(active)  # already in place: no transpose
+        x, bits = self._arrange(support)
+        reduced = np.einsum("ijaa->ij", x)
         da, m = reduced.shape[0], dim // reduced.shape[0]
-        # op as (row, missing column bits, active column bits)
-        cols = [0] + [1 + i for i, q in enumerate(support) if q not in active] \
-            + [1 + i for i, q in enumerate(support) if q in active]
-        labels = support + self._labels[len(active):]
+        labels = support + self._labels[self._front:]
+        # op as (row, unstored column bits, stored column bits): an unstored
+        # support qubit is folded in as its I/2 factor
+        cols = [0] + [1 + i for i in bits]
         branches = []
         for violated, op in ((1, mat), (0, np.eye(dim) - mat)):
             v = op.reshape((dim,) + (2,) * len(support)).transpose(cols) \
@@ -306,8 +301,8 @@ class DensityState:
                 post = sup.reshape(dim * dim, da * da) @ x.reshape(da * da, -1)
             else:
                 # op on the front rows, then op*/(m p) on the front columns
-                # and the missing bits: the superoperator would cost 2^(k-1)
-                # times the multiply-adds
+                # and the unstored bits: the superoperator would cost
+                # 2^(k-1) times the multiply-adds
                 rows = v.reshape(dim * m, da) @ x.reshape(da, -1)
                 post = np.matmul(v.reshape(dim, m * da).conj() / (m * p),
                                  rows.reshape(dim, m * da, -1))
@@ -328,10 +323,9 @@ class DensityState:
             self.stock_used += k
             self.swap_qubits([(q, first + i) for i, q in enumerate(support)])
             return
-        active = [q for q in support if q in self._labels]
-        x = self._arrange(active)
+        x, _ = self._arrange(support)
         self._register = np.einsum("iiab->ab", x).reshape(-1)
-        self._front, self._labels = 0, self._labels[len(active):]
+        self._front, self._labels = 0, self._labels[self._front:]
 
     def swap_qubits(self, pairs) -> None:
         """Exchange qubit labels; pairs is a list of (a, b), applied in order."""
@@ -343,8 +337,22 @@ class DensityState:
         self._labels = tuple(renamed[q] for q in self._labels)
 
     def reduced(self, support) -> np.ndarray:
-        """Reduced density matrix on the given qubits (in the given order)."""
-        return np.einsum("ijaa->ij", self._arrange(support))
+        """Reduced density matrix on the given qubits (in the given order);
+        an unstored one enters the result as I/2 and stays unstored."""
+        x, bits = self._arrange(support)
+        # with no other qubit stored the front block is the matrix itself
+        reduced = x.reshape(x.shape[:2]) if x.shape[2] == 1 \
+            else np.einsum("ijaa->ij", x)
+        k, u = len(bits), len(bits) - self._front
+        if u == 0:
+            return reduced
+        # reduced ⊗ I/2^u has the axes: stored rows, stored columns, then
+        # unstored rows and columns; one transpose puts them in support order
+        unstored, stored = bits[:u], bits[u:]
+        folded = np.multiply.outer(reduced, np.eye(2 ** u) / 2 ** u)
+        axes = stored + [k + i for i in stored] + unstored + [k + i for i in unstored]
+        folded = np.moveaxis(folded.reshape((2,) * (2 * k)), range(2 * k), axes)
+        return folded.reshape(2 ** k, 2 ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +451,12 @@ class DiagonalDistribution:
 
 
 def init_fully_mixed(backend: str, n: int, rng=None, seed=None):
-    """Construct the named backend's realization of the fully mixed n-qubit state."""
+    """Construct the named sampling backend's realization of the fully mixed
+    n-qubit state (the enumerators build their own roots)."""
     if rng is None:
         rng = np.random.default_rng(seed)
     if backend == "trajectory":
         return TrajectoryState(n, rng)
     if backend == "diagonal":
         return DiagonalState(n, rng)
-    if backend == "density":
-        return DensityState(n)
     raise ValueError(f"unknown backend {backend!r}")

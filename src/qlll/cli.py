@@ -130,8 +130,7 @@ def _random_tree_reports(args, check):
                                          seed=args.seed + i,
                                          commuting=commuting)
         config = SolverConfig(seed=0,
-                              threshold_override=args.T if args.T else 2,
-                              backend="density_enumerate")
+                              threshold_override=args.T if args.T else 2)
         tree = verifiers.enumerate_history_tree(inst, config)
         report = check(tree, inst.params)
         report["instance_seed"] = args.seed + i

@@ -233,19 +233,33 @@ def derive_instance_params(projectors, ranks, g: int) -> InstanceParams:
     return InstanceParams(k=max(k, 1), r=r, g=g, m=len(projectors))
 
 
+def _projector_residuals(mat: np.ndarray) -> tuple:
+    """Max-entry hermiticity and idempotence residuals of a matrix."""
+    return (float(np.max(np.abs(mat - mat.conj().T))),
+            float(np.max(np.abs(mat @ mat - mat))))
+
+
 def build_instance(n, projectors, meta=None) -> Instance:
     """Assemble an Instance, derive (k, r, g, m) and the neighborhood map.
 
-    Pairwise commutation is measured (max-entry commutator residual on the
-    union support) unless all bodies are diagonal, which commute exactly.
-    Non-commuting inputs are flagged, not rejected.
+    A body that is not a projector (hermiticity or idempotence residual
+    above PROJECTOR_ATOL) is rejected; diagonal bodies are exact and skip
+    that check.  Pairwise commutation is measured (max-entry commutator
+    residual on the union support) unless all bodies are diagonal, which
+    commute exactly.  Non-commuting inputs are flagged, not rejected.
     """
     projectors = tuple(projectors)
     for p in projectors:
         if any(q >= n for q in p.support):
             raise MalformedProjector(
                 f"support {p.support} has an index >= n={n}")
-        p.materialize()  # surface shape errors early
+        mat = p.materialize()  # surface shape errors early
+        if not p.is_diagonal():
+            herm, idem = _projector_residuals(mat)
+            if max(herm, idem) > PROJECTOR_ATOL:
+                raise MalformedProjector(
+                    f"body on {p.support} is not a projector: hermiticity "
+                    f"residual {herm:.3g}, idempotence residual {idem:.3g}")
     neighborhood, g = compute_neighborhood(projectors)
     params = derive_instance_params(projectors,
                                     [p.rank() for p in projectors], g)
@@ -312,9 +326,9 @@ def validate_instance(instance: Instance) -> ValidationReport:
     """Per-projector and per-overlapping-pair residuals plus recomputed params."""
     herm, idem, ranks = [], [], []
     for p in instance.projectors:
-        mat = p.materialize()
-        herm.append(float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0)
-        idem.append(float(np.max(np.abs(mat @ mat - mat))) if mat.size else 0.0)
+        h, i = _projector_residuals(p.materialize())
+        herm.append(h)
+        idem.append(i)
         ranks.append(p.rank())
     residuals = pair_residuals(instance.projectors)
     _, g = compute_neighborhood(instance.projectors)

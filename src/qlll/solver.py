@@ -36,7 +36,7 @@ class SolverConfig:
     seed: int = 0
     traversal: str = "ascending"        # neighborhood order: ascending | random
     threshold_override: int | None = None
-    backend: str = "trajectory"         # trajectory | diagonal | density_enumerate
+    backend: str = "trajectory"         # trajectory | diagonal
 
 
 @dataclass
@@ -234,8 +234,10 @@ class MonotonicityReport:
 
 def monotonicity_probe(instance: Instance, config: SolverConfig,
                        runs: int = 100) -> MonotonicityReport:
-    """Instrument FIX returns: the just-fixed projector must be satisfied and
-    the set of satisfied already-fixed projectors must never shrink."""
+    """Instrument each FIX(j) call with the paper's invariant: a projector
+    satisfied when FIX(j) starts is still satisfied when FIX(j) returns, and
+    j is satisfied then.  The satisfied set is pushed when FIX(j) measures
+    and popped when it returns."""
     if not instance.commuting:
         raise ValueError("monotonicity probe requires a commuting instance")
     if config.backend != "trajectory":
@@ -248,22 +250,25 @@ def monotonicity_probe(instance: Instance, config: SolverConfig,
         rng = np.random.default_rng(child)
         orders = neighborhood_orders(instance, config.traversal, rng)
         state = init_fully_mixed("trajectory", instance.n, rng=rng)
-        returned = set()
-        prev_satisfied = set()
+        entered = []  # the satisfied set at the start of each open FIX call
 
-        def on_return(j, _state=state, _returned=returned):
-            nonlocal prev_satisfied
-            _returned.add(j)
-            energy = _state.expectation(instance.projectors[j])
+        def satisfied():
+            return {i for i, p in enumerate(instance.projectors)
+                    if state.expectation(p) <= SATISFACTION_ATOL}
+
+        def measure_branches(spec, measure=state.measure_branches):
+            entered.append(satisfied())
+            return measure(spec)
+
+        def on_return(j):
+            energy = state.expectation(instance.projectors[j])
             if energy > SATISFACTION_ATOL:
                 violations.append((run_index, f"fix({j}) returned with energy {energy:.3g}"))
-            satisfied = {i for i in _returned
-                         if _state.expectation(instance.projectors[i]) <= SATISFACTION_ATOL}
-            lost = prev_satisfied - satisfied
+            lost = entered.pop() - satisfied()
             if lost:
                 violations.append((run_index, f"satisfied set lost {sorted(lost)}"))
-            prev_satisfied = satisfied
 
+        state.measure_branches = measure_branches
         results = []
         execute_fix_loop(instance, orders, derived.threshold_T, state,
                          lambda *leaf: results.append(leaf[4]),

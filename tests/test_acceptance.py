@@ -6,10 +6,14 @@ Each test prints one PASS line on success; run with `pytest -s` to see them.
 import collections
 import math
 
+import numpy as np
 import pytest
 
 from qlll.instances import (
+    Explicit,
     InstanceParams,
+    ProjectorSpec,
+    build_instance,
     check_qlll_condition,
     generate_classical_instance,
     random_instance,
@@ -187,3 +191,46 @@ def test_criterion_8_monotonicity():
     assert report.holds, report.violations
     _report(f"criterion 8: monotonicity held in all {report.runs} runs "
             f"({report.failures} aborted)")
+
+
+def test_criterion_8_monotonicity_entangled():
+    """The commuting GHZ triple (1 - XXX)/2 on (0, 1, 2), (1 - ZZ)/2 on (0, 1)
+    and on (1, 2), which no product rotation diagonalises: 200 runs at T = 3
+    keep the invariant, aborted runs included up to their abort."""
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    xxx = (np.eye(8) - np.kron(np.kron(x, x), x)) / 2
+    zz = (np.eye(4) - np.kron(z, z)) / 2
+    inst = build_instance(3, [ProjectorSpec((0, 1, 2), Explicit(xxx)),
+                              ProjectorSpec((0, 1), Explicit(zz)),
+                              ProjectorSpec((1, 2), Explicit(zz))])
+    assert inst.commuting
+    report = monotonicity_probe(
+        inst, SolverConfig(seed=0, threshold_override=3), runs=200)
+    assert report.holds, report.violations
+    _report(f"criterion 8: monotonicity held on the GHZ triple in all "
+            f"{report.runs} runs ({report.failures} aborted)")
+
+
+def _probe_violations(monkeypatch, orders):
+    """Criterion 8's probe with every FIX(j) recursing into orders(j)."""
+    inst = rotate_instance(generate_classical_instance(9, 3, 4, 2, seed=3),
+                           seed=11)
+    monkeypatch.setattr("qlll.solver.neighborhood_orders",
+                        lambda instance, traversal, rng: [orders(j) for j in
+                                                          range(instance.m)])
+    report = monotonicity_probe(
+        inst, SolverConfig(delta=0.5, seed=42, backend="trajectory"), runs=100)
+    return [detail for _, detail in report.violations]
+
+
+def test_criterion_8_probe_sees_a_lost_projector(monkeypatch):
+    # FIX(j) re-checks only j: a replacement that breaks a satisfied
+    # neighbour goes unrepaired
+    violations = _probe_violations(monkeypatch, lambda j: (j,))
+    assert any(d.startswith("satisfied set lost") for d in violations)
+
+
+def test_criterion_8_probe_sees_an_unrepaired_projector(monkeypatch):
+    # FIX(j) re-checks nothing: j returns with its fresh qubits unmeasured
+    violations = _probe_violations(monkeypatch, lambda j: ())
+    assert any("returned with energy" in d for d in violations)

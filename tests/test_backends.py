@@ -13,7 +13,6 @@ from qlll.backends import (
     DiagonalDistribution,
     DiagonalState,
     TrajectoryState,
-    init_fully_mixed,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -56,7 +55,7 @@ class TestEntropies:
 
     def test_von_neumann_maximally_mixed(self):
         for n in (1, 2, 3):
-            assert von_neumann_entropy(DensityState(n)) == pytest.approx(n)
+            assert von_neumann_entropy(DensityState(n).rho) == pytest.approx(n)
 
     def test_von_neumann_from_eigenvalues(self):
         rho = np.diag([0.5, 0.25, 0.25, 0.0])
@@ -65,7 +64,7 @@ class TestEntropies:
 
 class TestInitFullyMixed:
     def test_density_is_uniform_diagonal(self):
-        state = init_fully_mixed("density", 2)
+        state = DensityState(2)
         np.testing.assert_allclose(state.rho, np.eye(4) / 4, atol=0)
 
     def test_trajectory_basis_state_frequencies(self):
@@ -378,58 +377,9 @@ class TestLayout:
     @settings(max_examples=100, deadline=None)
     def test_matches_dense_reference(self, walk):
         d, stock, seed, steps = walk
-        rng = np.random.default_rng(seed)
         ref = random_density(d, seed)
-        state = DensityState(d, rho=ref, stock=stock)
-        used = 0
-        for step in steps:
-            kind = step[0]
-            if kind == "measure":
-                _, support, explicit, pick = step
-                spec = ProjectorSpec(support, random_body(rng, len(support), explicit))
-                mat = spec.materialize()
-                want = []
-                for violated, op in ((1, mat), (0, np.eye(len(mat)) - mat)):
-                    full = embed(op, support, d)
-                    post = full @ ref @ full.conj().T
-                    p = float(np.real(np.trace(post)))
-                    if p >= BRANCH_PRUNE:
-                        want.append((violated, p, post / p))
-                branches = state.measure_branches(spec)
-                assert [out.violated for out, _ in branches] == [w[0] for w in want]
-                for (out, _), (_, p, _) in zip(branches, want):
-                    assert out.probability == pytest.approx(p, abs=1e-12)
-                pick %= len(want)
-                state, ref = branches[pick][1], want[pick][2]
-            elif kind == "replace":
-                support = step[1]
-                if used + len(support) <= stock:
-                    first = d - stock + used
-                    for i, q in enumerate(support):
-                        if q != first + i:
-                            w = embed(SWAP, (q, first + i), d)
-                            ref = w @ ref @ w.conj().T
-                    used += len(support)
-                else:
-                    ref = depolarize(ref, support, d)
-                state.replace_qubits(support)
-                assert state.stock_used == used
-            elif kind == "swap":
-                for a, b in step[1]:
-                    w = embed(SWAP, (a, b), d)
-                    ref = w @ ref @ w.conj().T
-                state.swap_qubits(step[1])
-            else:
-                np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
-            # read through an unsorted support of the current layout
-            probe = tuple(rng.permutation(d)[:int(rng.integers(1, min(3, d) + 1))])
-            np.testing.assert_allclose(state.reduced(probe),
-                                       partial_trace(ref, probe, d),
-                                       rtol=0, atol=1e-12)
-            spec = ProjectorSpec(probe, random_body(rng, len(probe), True))
-            want = float(np.real(np.trace(embed(spec.materialize(), probe, d) @ ref)))
-            assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
-        np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
+        follow_walk(DensityState(d, rho=ref, stock=stock), ref, d, stock,
+                    np.random.default_rng(seed), steps)
 
     @given(register_walks())
     @settings(max_examples=100, deadline=None)
@@ -457,6 +407,27 @@ class TestLaziness:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 4 ** 8 // 64
+
+    def test_reads_leave_unstored_qubits_unstored(self):
+        # 6 of 8 qubits stored (4^6 entries, 64 KB); reading the 2 unstored
+        # ones must neither store them nor rearrange the register
+        state = DensityState(8, rho=random_density(8, seed=5))
+        state.replace_qubits((6, 7))
+        register, labels = state._register, state._labels
+        assert register.size == 4 ** 6 and sorted(labels) == list(range(6))
+        spec = ProjectorSpec((7, 6), random_body(np.random.default_rng(5), 2, True))
+        spec.materialize()
+        tracemalloc.start()
+        try:
+            np.testing.assert_allclose(state.reduced((7, 6)), np.eye(4) / 4,
+                                       rtol=0, atol=1e-15)
+            assert state.expectation(spec) == pytest.approx(
+                spec.rank() / 4, abs=1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state._register is register and state._labels == labels
+        assert peak < 16 * 4 ** 8 // 4
 
 
 class TestMeasureStep:

@@ -268,6 +268,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
+def test_run_rejects_a_body_that_is_not_a_projector(tmp_path, capsys):
+    # [[1, 0.9], [0, 0]] is idempotent but not Hermitian: no run can pass on it
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 1, "meta": {}, "projectors": [{
+        "support": [0], "kind": "explicit",
+        "matrix": [[[1, 0], [0.9, 0]], [[0, 0], [0, 0]]]}]}))
+    out = tmp_path / "r.jsonl"
+    assert main(["run", str(bad), "--threshold", "3", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("ParseError") and "not a projector" in captured.err
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # the report is about 1 MB, far more than a pipe buffers, so its writes
     # meet the closed pipe

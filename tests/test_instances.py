@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -228,6 +229,29 @@ class TestValidation:
     def test_params_match_build(self, make):
         inst = make()
         assert validate_instance(inst).params == inst.params
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0.9], [0, 0]],      # idempotent, not Hermitian
+        [[0.5, 0], [0, 0]],      # Hermitian, not idempotent
+    ], ids=["not-hermitian", "not-idempotent"])
+    def test_body_that_is_not_a_projector(self, matrix, tmp_path):
+        spec = ProjectorSpec((0,), Explicit(np.array(matrix, dtype=complex)))
+        with pytest.raises(MalformedProjector, match="not a projector"):
+            build_instance(1, [spec])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "meta": {}, "projectors": [{
+            "support": [0], "kind": "explicit",
+            "matrix": [[[re, 0.0] for re in row] for row in matrix]}]}))
+        with pytest.raises(ParseError, match="not a projector"):
+            load_instance(path)
+
+    def test_projector_residuals_within_tolerance(self):
+        # a body off by 1e-12 is still a projector; the residuals are reported
+        mat = np.array([[1 + 1e-12, 1e-12], [0, 0]], dtype=complex)
+        inst = build_instance(1, [ProjectorSpec((0,), Explicit(mat))])
+        report = validate_instance(inst)
+        assert report.hermiticity == [pytest.approx(1e-12, rel=1e-3, abs=0)]
+        assert report.idempotence == [pytest.approx(1e-12, rel=1e-3, abs=0)]
 
     def test_rank_zero_projectors_allowed(self):
         inst = build_instance(2, [ProjectorSpec((0,), Diagonal(frozenset()))])

@@ -21,6 +21,7 @@ from qlll.solver import (
     derive_trial_seed,
     execute_fix_loop,
     monotonicity_probe,
+    neighborhood_orders,
     record_to_dict,
     rle_decode,
     rle_encode,
@@ -134,6 +135,15 @@ class TestRun:
                                      traversal="random"))
         assert rec.result in ("Success", "Failure")
 
+    def test_random_traversal_shuffles(self):
+        # every order is a permutation of the ascending neighborhood, and a
+        # seeded shuffle moves some neighborhood of at least 3 projectors
+        inst = generate_classical_instance(12, 3, 8, 3, seed=2)
+        orders = neighborhood_orders(inst, "random", np.random.default_rng(0))
+        assert [sorted(o) for o in orders] == [list(nb) for nb in inst.neighborhood]
+        assert any(list(o) != list(nb) for o, nb in zip(orders, inst.neighborhood)
+                   if len(nb) >= 3)
+
     def test_enumeration_backend_rejected(self):
         inst = generate_classical_instance(6, 2, 2, 2, seed=0)
         with pytest.raises(ValueError):
@@ -191,6 +201,15 @@ class TestSatisfaction:
         assert report.max_energy == 0.0
         assert report.satisfied
         assert not report.no_guarantee
+
+    def test_small_energy_is_not_satisfied(self):
+        # energy 1e-6 is a violation, far above the 1e-8 tolerance
+        inst = build_instance(1, [diag([0], "1")])
+        state = init_fully_mixed("trajectory", 1, seed=0)
+        state.psi = np.array([np.sqrt(1 - 1e-6), np.sqrt(1e-6)], dtype=complex)
+        report = verify_satisfaction(inst, state)
+        assert report.max_energy == pytest.approx(1e-6, rel=1e-9)
+        assert not report.satisfied
 
     def test_noncommuting_flagged(self):
         inst = random_instance(3, 2, 2, seed=1, commuting=False)

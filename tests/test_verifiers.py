@@ -271,6 +271,17 @@ class TestThresholdInequality:
         assert report["holds"]
         assert all(row["main_margin"] > 0 for row in report["rows"])
 
+    def test_threshold_too_small_fails_the_row(self, monkeypatch):
+        # k=4, g=2, r=1, delta=0.9: 1/eta = 0.9 (4 - log2(2e)) ~ 1.40, so at
+        # T = 1 the main margin 1/eta - m is about -0.6 for m = 2
+        monkeypatch.setattr(verifiers, "compute_threshold", lambda m, eta: 1)
+        report = check_threshold_inequality(4, 2, 1, 0.9, [2])
+        row = report["rows"][0]
+        assert row["T"] == 1
+        assert row["main_margin"] == pytest.approx(1 / row["eta"] - 2)
+        assert -1 < row["main_margin"] < 0
+        assert not row["holds"] and not report["holds"]
+
     def test_m1_rejected(self):
         with pytest.raises(ValueError):
             check_threshold_inequality(3, 2, 1, 0.5, [1])
@@ -290,6 +301,12 @@ class TestFailureBound:
                                      InstanceParams(3, 1, 2, 2), 0.5, 72)
         assert report["analytic_bound"] == pytest.approx(0.2036069816, abs=1e-9)
         assert report["bound_below_delta"]
+
+    def test_band_is_three_sigma(self):
+        report = check_failure_bound([{"result": "Success", "t": 0}] * 1000,
+                                     InstanceParams(3, 1, 2, 12), 0.25, 1102)
+        assert report["band"] == pytest.approx(
+            0.25 + 3 * math.sqrt(0.1875 / 1000), rel=1e-12)
 
     def test_insufficient_trials(self):
         with pytest.raises(InsufficientTrials):
