@@ -28,6 +28,13 @@ larger ones).  The plain matrix (row axes first, qubit 0 most significant)
 is the reduced state on every qubit; reading it keeps it as the register.
 Bit 0 of a local operator's index is its support[0] qubit (most
 significant), matching the instance module.
+
+The trajectory kernel: a measurement is one GEMM on the support block, a
+(2^k, 2^(n-k)) copy of the state with the support's axes as rows, and takes
+its Born weight from that block and the product.  The collapsed state is a
+view of the product with the axes back in place, never made contiguous,
+since the norm sums in memory order and a state's last bits reach the
+serialised energies.
 """
 
 from __future__ import annotations
@@ -89,12 +96,21 @@ def _clamp01(p: float) -> float:
 # ---------------------------------------------------------------------------
 # trajectory backend
 
+def _apply_block(tensor: np.ndarray, mat: np.ndarray, axes):
+    """Apply a k-qubit operator to the given tensor axes (in support order)
+    with one GEMM on the support block.  Returns the block, a C-ordered
+    (2^k, 2^(n-k)) copy of the tensor whose rows are those axes, the product
+    mat @ block, and the projected tensor, a view of the product with its
+    axes back in place."""
+    k = len(axes)
+    block = np.moveaxis(tensor, axes, range(k)).reshape(2 ** k, -1)
+    out = mat @ block
+    return block, out, np.moveaxis(out.reshape(tensor.shape), range(k), axes)
+
+
 def _apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     """Apply a k-qubit operator to the given tensor axes (in support order)."""
-    k = len(axes)
-    op = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, range(k), axes)
+    return _apply_block(tensor, mat, axes)[2]
 
 
 class TrajectoryState:
@@ -103,6 +119,17 @@ class TrajectoryState:
     Initialization samples a uniform computational-basis state; replacement
     measures the discarded qubits and resamples them uniformly.  Both choices
     reproduce the density-matrix ensemble exactly (checked in the tests).
+
+    A measurement copies psi once into the support block, multiplies it by
+    P once, and reads p = <block|P block> from that pair.  The kept branch
+    is the product viewed back in psi's axes (or psi minus that view), and
+    renormalisation multiplies by 1/norm, which is how numpy divides a
+    complex array by a real norm anyway.  Layout rule: psi is never made
+    contiguous.  It stays the moved-axes view (the subtraction takes psi's
+    own layout), because np.linalg.norm sums in memory order and the
+    serialised energies carry rounding-level digits.  So every state equals
+    the plain tensordot form of the same steps bit for bit (checked in the
+    tests); only p, summed in block order, may differ in its last bits.
     """
 
     def __init__(self, n: int, rng):
@@ -120,7 +147,7 @@ class TrajectoryState:
         norm = np.linalg.norm(self.psi)
         if norm < 1e-12:
             raise ZeroProbabilityBranch("state norm collapsed to zero")
-        self.psi /= norm
+        self.psi *= 1.0 / norm
 
     def expectation(self, spec: ProjectorSpec) -> float:
         proj = _apply_local(self.psi, spec.materialize(), spec.support)
@@ -128,14 +155,11 @@ class TrajectoryState:
 
     def measure_projector(self, spec: ProjectorSpec) -> Outcome:
         """Born-rule measurement of {P, 1-P}; collapses the state in place."""
-        mat = spec.materialize()
-        projected = _apply_local(self.psi, mat, spec.support)
-        p = _clamp01(float(np.real(np.vdot(self.psi, projected))))
+        block, out, projected = _apply_block(self.psi, spec.materialize(),
+                                             spec.support)
+        p = _clamp01(float(np.real(np.vdot(block, out))))
         violated = int(self.rng.random() < p)
-        if violated:
-            self.psi = projected
-        else:
-            self.psi = self.psi - projected
+        self.psi = projected if violated else self.psi - projected
         self._renormalize()
         return Outcome(violated=violated, probability=p if violated else 1.0 - p)
 

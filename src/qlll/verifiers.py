@@ -119,12 +119,15 @@ def check_entropy_claim(tree: HistoryTree) -> dict:
 
 def check_history_count_bound(tree: HistoryTree, params: InstanceParams) -> dict:
     """Per-leaf structural bounds: branch length <= m + g*t and branch entropy
-    <= N + n - t*(k - log2 r)."""
+    <= N + n - t*(k - log2 r).  Also reports the stock size N beside the most
+    stock qubits any leaf swapped in."""
     violations = []
     worst_length = -math.inf
     worst_entropy = -math.inf
+    stock_used = 0
     for leaf in tree.leaves:
         t = leaf.failures
+        stock_used = max(stock_used, leaf.state.stock_used)
         length_slack = len(leaf.branch_string) - (params.m + params.g * t)
         worst_length = max(worst_length, length_slack)
         if length_slack > 0:
@@ -139,6 +142,7 @@ def check_history_count_bound(tree: HistoryTree, params: InstanceParams) -> dict
             "worst_length_slack": worst_length,
             "worst_entropy_slack": worst_entropy,
             "tolerance": ENTROPY_SLACK,
+            "stock_N": tree.stock_N, "stock_used": stock_used,
             "violations": violations, "holds": not violations}
 
 

@@ -12,7 +12,9 @@ from qlll.backends import (
     DensityState,
     DiagonalDistribution,
     DiagonalState,
+    Outcome,
     TrajectoryState,
+    _apply_local,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -466,6 +468,83 @@ class TestMeasureStep:
         assert again.violated == 1
         assert again.probability == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(post.rho, violated.rho, rtol=0, atol=1e-12)
+
+
+def tensordot_apply(tensor, mat, axes):
+    """The tensordot form of applying a local operator."""
+    k = len(axes)
+    op = mat.reshape((2,) * (2 * k))
+    out = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, range(k), axes)
+
+
+class TensordotTrajectory(TrajectoryState):
+    """TrajectoryState with the tensordot kernels it had before the support
+    block: the Born weight read against the whole state, renormalisation by
+    division.  An oracle for the states, to the last bit."""
+
+    def _renormalize(self):
+        self.psi /= np.linalg.norm(self.psi)
+
+    def expectation(self, spec):
+        proj = tensordot_apply(self.psi, spec.materialize(), spec.support)
+        return min(1.0, max(0.0, float(np.real(np.vdot(self.psi, proj)))))
+
+    def measure_projector(self, spec):
+        projected = tensordot_apply(self.psi, spec.materialize(), spec.support)
+        p = min(1.0, max(0.0, float(np.real(np.vdot(self.psi, projected)))))
+        violated = int(self.rng.random() < p)
+        self.psi = projected if violated else self.psi - projected
+        self._renormalize()
+        return Outcome(violated=violated, probability=p if violated else 1.0 - p)
+
+
+class TestTrajectoryKernel:
+    """The support-block kernel keeps every state bit for bit, and in the
+    same memory layout, since the norm sums in memory order and the golden
+    runs store rounding-level energies."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_tensordot_kernel_bit_for_bit(self, seed):
+        n = 10
+        rng = np.random.default_rng(seed)
+        state = TrajectoryState(n, np.random.default_rng(seed))
+        ref = TensordotTrajectory(n, np.random.default_rng(seed))
+        seen, unsorted, flipped = set(), False, False
+        for step in range(40):
+            k = 1 + step % 4
+            support = tuple(int(q) for q in rng.permutation(n)[:k])
+            unsorted |= list(support) != sorted(support)
+            spec = ProjectorSpec(support, random_body(rng, k, step % 2 == 1))
+            out, want = state.measure_projector(spec), ref.measure_projector(spec)
+            # the weight sums in another order, so p may differ in its last bits
+            assert out.violated == want.violated
+            assert out.probability == pytest.approx(want.probability, rel=0, abs=1e-14)
+            seen.add(out.violated)
+            np.testing.assert_array_equal(state.psi, ref.psi)
+            assert state.psi.strides == ref.psi.strides
+            assert state.expectation(spec) == ref.expectation(spec)
+            if step % 3 == 2:
+                state.replace_qubits(support)
+                ref.replace_qubits(support)
+                flipped |= any(s < 0 for s in state.psi.strides)
+                np.testing.assert_array_equal(state.psi, ref.psi)
+                assert state.psi.strides == ref.psi.strides
+            for other in rng.permutation(n)[:3]:
+                probe = ProjectorSpec((int(other),), random_body(rng, 1, True))
+                assert state.expectation(probe) == ref.expectation(probe)
+        assert seen == {0, 1} and unsorted and flipped
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_apply_local_matches_tensordot(self, k):
+        rng = np.random.default_rng(k)
+        psi = rng.standard_normal((2,) * 10) + 1j * rng.standard_normal((2,) * 10)
+        psi = np.flip(psi, axis=3)  # a strided, non-contiguous state
+        axes = tuple(int(q) for q in rng.permutation(10)[:k])
+        mat = ProjectorSpec(axes, random_body(rng, k, True)).materialize()
+        got, want = _apply_local(psi, mat, axes), tensordot_apply(psi, mat, axes)
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == want.strides
 
 
 def measured(seed):

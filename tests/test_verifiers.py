@@ -184,6 +184,9 @@ class TestStockUse:
             assert leaf.state.stock == tree.stock_N
             assert leaf.state.stock_used == k * min(leaf.failures, threshold - 1)
             assert leaf.state.stock_used <= k * (threshold - 1)
+        report = check_history_count_bound(tree, inst.params)
+        assert report["stock_N"] == threshold * k
+        assert report["stock_used"] == k * (threshold - 1)
 
 
 class TestLeafEntropy:
