@@ -14,18 +14,22 @@ expectation(spec) reads <P> without measuring, for the final check and the
 monotonicity probe.
 
 Tensor convention: an n-qubit pure state is stored as an ndarray of shape
-(2,)*n with axis q belonging to qubit q.  A density register holds exactly
-its active qubits, those measured since their last replacement: every other
-qubit is an implicit maximally mixed factor I/2 and is never stored.  The
-active ones sit in a labelled block layout (see DensityState): the rows and
-columns of a front block of qubits, then those of the rest, with a label
-naming the qubit at each position.  An unstored support qubit is folded in
-where it is needed: a measurement folds it into its operator, a reduced
-state or an expectation into its 2^k x 2^k result.  A density measurement
-weighs its branches on the reduced state of the support and builds each kept
-one with a single matrix product for supports of at most 2 qubits (two for
-larger ones).  The plain matrix (row axes first, qubit 0 most significant)
-is the reduced state on every qubit; reading it keeps it as the register.
+(2,)*n with axis q belonging to qubit q.  A density state is a product of
+factors: disjoint trace-1 registers, each on qubits that measurements have
+joined (DensityState(d, rho) starts with one on all d), times an implicit
+maximally mixed factor I/2 on every other qubit, which is never stored.
+Each factor sits in a labelled block layout (see DensityState): the rows
+and columns of a front block of qubits, then those of the rest, with a
+label naming the qubit at each position.  A measurement or a read merges
+the factors holding its support's stored qubits and touches no other; an
+unstored support qubit is folded in where it is needed: a measurement
+folds it into its operator, a reduced state or an expectation into its
+2^k x 2^k result.  A density measurement weighs its branches on the
+reduced state of the support and builds each kept one with a single matrix
+product for supports of at most 2 qubits (two for larger ones), sharing
+the other factors with its parent.  The plain matrix (row axes first,
+qubit 0 most significant) is the reduced state on every qubit; reading it
+keeps it as the only factor.
 Bit 0 of a local operator's index is its support[0] qubit (most
 significant), matching the instance module.
 
@@ -193,46 +197,84 @@ class TrajectoryState:
 # ---------------------------------------------------------------------------
 # density backend
 
+def _block_axes(front: int, a: int, positions):
+    """The row and the column axis of each position of a block layout of a
+    positions whose first `front` form the front block."""
+    rows = [p if p < front else front + p for p in positions]
+    cols = [front + p if p < front else a + p for p in positions]
+    return rows, cols
+
+
+def _merge(factors):
+    """One factor holding the tensor product of the given ones, in the plain
+    layout (front 0) with their labels in order; the 1-entry factor on no
+    qubit when none is given, and the factor itself when one is."""
+    if not factors:
+        return np.ones(1, dtype=complex), 0, ()
+    register, front, labels = factors[0]
+    for other, other_front, other_labels in factors[1:]:
+        a, b = len(labels), len(other_labels)
+        # the outer product's axes: the first factor's 2a in its block
+        # layout, then the other's 2b; the plain layout wants every row axis
+        # (in label order), then every column axis
+        rows, cols = _block_axes(front, a, range(a))
+        other_rows, other_cols = _block_axes(other_front, b, range(b))
+        interleave = rows + [2 * a + r for r in other_rows] \
+            + cols + [2 * a + c for c in other_cols]
+        register = np.multiply.outer(register, other) \
+            .reshape((2,) * (2 * (a + b))).transpose(interleave).reshape(-1)
+        front, labels = 0, labels + other_labels
+    return register, front, labels
+
+
 class DensityState:
     """Exact density operator on d labeled qubits, the last `stock` of which
     are fresh maximally mixed stock qubits.
 
-    The state is rho_active ⊗ I/2^u: the register holds exactly the active
-    qubits, those measured since their last replacement, and the u others
-    are an implicit maximally mixed factor.  DensityState(d) starts with no
-    active qubit (a 1-entry register), DensityState(d, rho) with all d.  The
-    register is a flat array of 4^a entries for a active qubits in a
-    labelled block layout: its 2a binary axes are the rows of the front k
-    positions, their columns, then the rows and the columns of the other
-    a - k positions, and `_labels[p]` names the qubit at position p; a qubit
-    missing from `_labels` is unstored.
+    The state is a tensor product of factors times I/2^u: `_factors` holds
+    disjoint trace-1 registers, each a (register, front, labels) triple on
+    the qubits it names, and the u qubits no factor names are an implicit
+    maximally mixed factor, never stored.  A qubit is stored once FIX has
+    measured it and until its replacement traces it out; a measurement puts
+    its whole support into one factor, so factors form from what FIX
+    measures and, as FIX never measures across connected components, never
+    span two.  DensityState(d) starts with no factor, DensityState(d, rho)
+    with one factor on all d qubits.  A register is a flat array of 4^a
+    entries for its a qubits in a labelled block layout: its 2a binary axes
+    are the rows of the front k positions, their columns, then the rows and
+    the columns of the other a - k positions, and labels[p] names the qubit
+    at position p.
 
-    One rule covers an unstored support qubit: it is never stored.  A
-    measurement, a reduced state and an expectation each bring the
-    support's stored qubits to the front (one transpose, skipped when they
-    are there already).  A reduced state, and so an expectation, folds the
-    unstored ones into its 2^k x 2^k result as I/m; a measurement folds
-    them into its operator, as its columns summed against I/m.  The
-    measurement then reads both Born weights from the reduced state of the
-    support and drops a branch below BRANCH_PRUNE before touching the
-    register.  Each kept branch is built normalised, with 1/p folded into a
-    small operator, and holds the whole support at the front: for k <= 2 it
-    is one product of the superoperator (op/p ⊗ op*) on the (front row,
-    front column) index pair with the register; for larger k, where that
-    superoperator would cost 2^(k-1) times the multiply-adds, it is op on
-    the front rows, then op*/p on the front columns.  `rho` is the reduced
-    state on qubits 0..d-1, the plain matrix, and reading it stores it back
-    as the register (all d qubits active, k = 0, labels 0..d-1): a leaf's
-    4^d entries are then built once, not freed and built again at each
-    read.  Assigning `rho` resets the layout.
+    A measurement, a reduced state and an expectation each find the factors
+    holding the support's stored qubits, merge them when there are two or
+    more (per extra factor one outer product and one transpose into the
+    plain layout), and bring those qubits to the front of the result (one
+    transpose, skipped when they are there already), which becomes the last
+    factor.  The other factors are not touched.  A reduced state, and so an
+    expectation, folds the support's unstored qubits into its 2^k x 2^k
+    result as I/m; a measurement folds them into its operator, as its
+    columns summed against I/m.  The measurement then reads both Born
+    weights from the reduced state of the support and drops a branch below
+    BRANCH_PRUNE before building anything.  Each kept branch replaces the
+    arranged factor by one holding the whole support at the front, built
+    normalised with 1/p folded into a small operator, and shares every other
+    factor with its parent by reference (no register is ever written in
+    place): for k <= 2 it is one product of the superoperator (op/p ⊗ op*)
+    on the (front row, front column) index pair with the factor; for larger
+    k, where that superoperator would cost 2^(k-1) times the multiply-adds,
+    it is op on the front rows, then op*/p on the front columns.  `rho` is
+    the reduced state on qubits 0..d-1, the plain matrix, and reading it
+    stores it back as the only factor (all d qubits, k = 0, labels
+    0..d-1): a leaf's 4^d entries are then built once, not freed and built
+    again at each read.  Assigning `rho` resets the layout.
 
     replace_qubits(support) swaps the support into the next unused stock
     qubits while enough are left, which only relabels (an active qubit
-    renamed to unused stock makes that stock active and leaves its old
-    label unstored), so the register's entropy is conserved (`stock_used`
-    counts them, and branches inherit it); otherwise it traces the support
-    out, which leaves it unstored.  With stock=0 every replacement is a
-    partial trace.
+    renamed to unused stock makes that stock stored and leaves its old label
+    unstored), so the state's entropy is conserved (`stock_used` counts
+    them, and branches inherit it); otherwise it traces the support out of
+    its factor, which leaves it unstored and drops a factor left empty.
+    With stock=0 every replacement is a partial trace.
     """
 
     def __init__(self, d: int, rho=None, stock: int = 0):
@@ -243,50 +285,54 @@ class DensityState:
         self.stock = stock
         self.stock_used = 0
         if rho is None:
-            # every qubit maximally mixed: nothing active, a 1-entry register
-            self._register = np.ones(1, dtype=complex)
-            self._front, self._labels = 0, ()
+            # every qubit maximally mixed: nothing stored
+            self._factors = ()
         else:
             self.rho = rho
 
     @property
     def rho(self) -> np.ndarray:
         """The plain 2^d x 2^d matrix, qubit 0 most significant.  Reading it
-        stores every qubit and keeps the matrix as the register, so a large
-        matrix is built once rather than freed and built again."""
+        stores every qubit and keeps the matrix as the only factor, so a
+        large matrix is built once rather than freed and built again."""
         self.rho = self.reduced(range(self.d))
-        return self._register.reshape(2 ** self.d, 2 ** self.d)
+        return self._factors[0][0].reshape(2 ** self.d, 2 ** self.d)
 
     @rho.setter
     def rho(self, value) -> None:
-        self._register = np.asarray(value, dtype=complex).reshape(-1)
-        self._front, self._labels = 0, tuple(range(self.d))
+        register = np.asarray(value, dtype=complex).reshape(-1)
+        self._factors = ((register, 0, tuple(range(self.d))),)
 
     def _arrange(self, support):
-        """Bring the support's stored qubits, in support order, to the front
-        of the register with one transpose (skipped when they are there
-        already).  Returns the register as a (2^s, 2^s, 2^(a-s), 2^(a-s))
-        array for s stored support qubits out of a stored ones, and the
-        support's bit positions, unstored qubits first: the order of the
-        bits of the support's index in I/m ⊗ (the front block)."""
-        front, old = self._front, self._labels
+        """Merge the factors holding the support's stored qubits into one and
+        bring those qubits, in support order, to its front with one
+        transpose (skipped when they are there already); the result becomes
+        the last factor.  Returns the other factors; the arranged register
+        as a (2^s, 2^s, 2^(a-s), 2^(a-s)) array for s stored support qubits
+        out of its a (a 1-entry register when s = 0, which is not stored);
+        the labels of its a - s other positions; and the support's unstored
+        and stored bit positions, the order of the bits of the support's
+        index in I/m ⊗ (the front block)."""
+        owner = {q: i for i, factor in enumerate(self._factors) for q in factor[2]}
+        hit = {owner[q] for q in support if q in owner}
+        others = tuple(f for i, f in enumerate(self._factors) if i not in hit)
+        register, front, old = _merge(
+            [f for i, f in enumerate(self._factors) if i in hit])
         where = {q: p for p, q in enumerate(old)}
         stored = tuple(q for q in support if q in where)
-        bits = [i for i, q in enumerate(support) if q not in where] \
-            + [i for i, q in enumerate(support) if q in where]
         s, a = len(stored), len(old)
         labels = stored + tuple(q for q in old if q not in stored)
         pos = [where[q] for q in labels]
-        # the row and column axes of position p: front block, then rest block
-        rows = [p if p < front else front + p for p in pos]
-        cols = [front + p if p < front else a + p for p in pos]
+        rows, cols = _block_axes(front, a, pos)
         axes = rows[:s] + cols[:s] + rows[s:] + cols[s:]
         if axes != list(range(2 * a)):
-            self._register = self._register.reshape((2,) * (2 * a)) \
-                .transpose(axes).reshape(-1)
-        self._front, self._labels = s, labels
+            register = register.reshape((2,) * (2 * a)).transpose(axes).reshape(-1)
+        if hit:
+            self._factors = others + ((register, s, labels),)
         rest = 2 ** (a - s)
-        return self._register.reshape(2 ** s, 2 ** s, rest, rest), bits
+        return (others, register.reshape(2 ** s, 2 ** s, rest, rest), labels[s:],
+                [i for i, q in enumerate(support) if q not in where],
+                [i for i, q in enumerate(support) if q in where])
 
     def expectation(self, spec: ProjectorSpec) -> float:
         p = np.einsum("ij,ji->", spec.materialize(), self.reduced(spec.support))
@@ -300,13 +346,13 @@ class DensityState:
         """
         mat = spec.materialize()
         support, dim = spec.support, mat.shape[0]
-        x, bits = self._arrange(support)
+        others, x, rest, unstored, stored = self._arrange(support)
         reduced = np.einsum("ijaa->ij", x)
         da, m = reduced.shape[0], dim // reduced.shape[0]
-        labels = support + self._labels[self._front:]
+        labels = support + rest
         # op as (row, unstored column bits, stored column bits): an unstored
         # support qubit is folded in as its I/2 factor
-        cols = [0] + [1 + i for i in bits]
+        cols = [0] + [1 + i for i in unstored + stored]
         branches = []
         for violated, op in ((1, mat), (0, np.eye(dim) - mat)):
             v = op.reshape((dim,) + (2,) * len(support)).transpose(cols) \
@@ -332,24 +378,25 @@ class DensityState:
                                  rows.reshape(dim, m * da, -1))
             state = object.__new__(DensityState)
             state.d, state.stock, state.stock_used = self.d, self.stock, self.stock_used
-            state._register = post.reshape(-1)
-            state._front, state._labels = len(support), labels
+            state._factors = others + ((post.reshape(-1), len(support), labels),)
             branches.append((Outcome(violated=violated, probability=p), state))
         return branches
 
     def replace_qubits(self, support) -> None:
         """Swap the support into the next unused stock qubits, or, with too
-        few left, trace it out, which leaves it maximally mixed and unstored;
-        the other non-stock qubits are untouched either way."""
+        few left, trace it out of its factor, which leaves it maximally
+        mixed and unstored; the other non-stock qubits are untouched either
+        way."""
         k = len(support)
         if self.stock_used + k <= self.stock:
             first = self.d - self.stock + self.stock_used
             self.stock_used += k
             self.swap_qubits([(q, first + i) for i, q in enumerate(support)])
             return
-        x, _ = self._arrange(support)
-        self._register = np.einsum("iiab->ab", x).reshape(-1)
-        self._front, self._labels = 0, self._labels[self._front:]
+        others, x, rest, _, _ = self._arrange(support)
+        self._factors = others
+        if rest:
+            self._factors += ((np.einsum("iiab->ab", x).reshape(-1), 0, rest),)
 
     def swap_qubits(self, pairs) -> None:
         """Exchange qubit labels; pairs is a list of (a, b), applied in order."""
@@ -358,21 +405,21 @@ class DensityState:
             perm[a], perm[b] = perm[b], perm[a]
         # qubit q now holds what qubit perm[q] held
         renamed = {old: q for q, old in enumerate(perm)}
-        self._labels = tuple(renamed[q] for q in self._labels)
+        self._factors = tuple((register, front, tuple(renamed[q] for q in labels))
+                              for register, front, labels in self._factors)
 
     def reduced(self, support) -> np.ndarray:
         """Reduced density matrix on the given qubits (in the given order);
         an unstored one enters the result as I/2 and stays unstored."""
-        x, bits = self._arrange(support)
-        # with no other qubit stored the front block is the matrix itself
+        _, x, _, unstored, stored = self._arrange(support)
+        # with no other qubit in the factor the front block is the matrix
         reduced = x.reshape(x.shape[:2]) if x.shape[2] == 1 \
             else np.einsum("ijaa->ij", x)
-        k, u = len(bits), len(bits) - self._front
+        k, u = len(support), len(unstored)
         if u == 0:
             return reduced
         # reduced ⊗ I/2^u has the axes: stored rows, stored columns, then
         # unstored rows and columns; one transpose puts them in support order
-        unstored, stored = bits[:u], bits[u:]
         folded = np.multiply.outer(reduced, np.eye(2 ** u) / 2 ** u)
         axes = stored + [k + i for i in stored] + unstored + [k + i for i in unstored]
         folded = np.moveaxis(folded.reshape((2,) * (2 * k)), range(2 * k), axes)

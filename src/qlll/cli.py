@@ -130,7 +130,7 @@ def _random_tree_reports(args, check):
                                          seed=args.seed + i,
                                          commuting=commuting)
         config = SolverConfig(seed=0,
-                              threshold_override=args.T if args.T else 2)
+                              threshold_override=2 if args.T is None else args.T)
         tree = verifiers.enumerate_history_tree(inst, config)
         report = check(tree, inst.params)
         report["instance_seed"] = args.seed + i
@@ -193,6 +193,14 @@ def positive_int(text: str) -> int:
     return count
 
 
+def open_unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly between 0 and 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlll")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-m", type=int, default=12, help="clause count")
     gen.add_argument("-g", type=int, default=2, help="neighborhood cap")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--delta", type=float, default=0.25)
+    gen.add_argument("--delta", type=open_unit_float, default=0.25)
     gen.add_argument("--threshold", type=int, default=None,
                      help="accept instances that fail the local-lemma condition")
     gen.add_argument("-o", "--output", default="instance.json")
@@ -217,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="seeded trial batch over one instance")
     runp.add_argument("instance")
-    runp.add_argument("--delta", type=float, default=0.25)
+    runp.add_argument("--delta", type=open_unit_float, default=0.25)
     runp.add_argument("--trials", type=positive_int, default=100)
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--backend", default="diagonal",
                       choices=["diagonal", "trajectory"])
     runp.add_argument("--traversal", default="ascending",
                       choices=["ascending", "random"])
-    runp.add_argument("--threshold", type=int, default=None)
+    runp.add_argument("--threshold", type=positive_int, default=None)
     runp.add_argument("--workers", type=positive_int, default=1)
     runp.add_argument("--no-timing", action="store_true",
                       help="zero the elapsed_ns field for byte-stable outputs")
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m", type=int, default=2)
     ver.add_argument("--g", type=int, default=2)
     ver.add_argument("--r", "--rank", dest="rank", type=int, default=1)
-    ver.add_argument("--T", type=int, default=None,
+    ver.add_argument("--T", type=positive_int, default=None,
                      help="threshold override (entropy/counts default 2; "
                           "failure-bound defaults to the instance's own T)")
     ver.add_argument("--random", type=positive_int, default=100,
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--commuting", action="store_true",
                      help="use commuting instances only (default alternates)")
-    ver.add_argument("--delta", type=float, default=0.5)
+    ver.add_argument("--delta", type=open_unit_float, default=0.5)
     ver.add_argument("--m-span", type=_span, default=(2, 50),
                      help="threshold check range, e.g. 2..50")
     ver.add_argument("--m-max", type=int, default=30)

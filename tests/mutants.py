@@ -51,6 +51,11 @@ MUTANTS = [
     # conjugate of the true walk, so every Born weight and energy agrees.
     ("trajectory GEMM with the transpose", "src/qlll/backends.py",
      "out = mat @ block", "out = mat.T @ block", False),
+    ("density merge without the interleaving transpose", "src/qlll/backends.py",
+     ".transpose(interleave)", "", False),
+    ("density branch keeps the parent's pre-measurement factor",
+     "src/qlll/backends.py", "state._factors = others + (",
+     "state._factors = self._factors + (", False),
     # numpy divides a complex number by n + 0j as (re + im*0) * (1/n)
     ("trajectory renormalisation by division", "src/qlll/backends.py",
      "self.psi *= 1.0 / norm", "self.psi /= norm", True),

@@ -412,10 +412,11 @@ class TestLaziness:
 
     def test_reads_leave_unstored_qubits_unstored(self):
         # 6 of 8 qubits stored (4^6 entries, 64 KB); reading the 2 unstored
-        # ones must neither store them nor rearrange the register
+        # ones must neither store them nor rearrange or merge any factor
         state = DensityState(8, rho=random_density(8, seed=5))
         state.replace_qubits((6, 7))
-        register, labels = state._register, state._labels
+        factors = state._factors
+        (register, _, labels), = factors
         assert register.size == 4 ** 6 and sorted(labels) == list(range(6))
         spec = ProjectorSpec((7, 6), random_body(np.random.default_rng(5), 2, True))
         spec.materialize()
@@ -428,8 +429,104 @@ class TestLaziness:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state._register is register and state._labels == labels
+        assert len(state._factors) == len(factors)
+        for (now, _, now_labels), (then, _, then_labels) in zip(state._factors, factors):
+            assert now is then and now_labels == then_labels
         assert peak < 16 * 4 ** 8 // 4
+
+
+class TestFactors:
+    """The density state as a product of factors: a measurement touches only
+    the factor holding its support, and a support spanning two merges them."""
+
+    @staticmethod
+    def measure(state, ref, d, support, seed, pick=0):
+        """Measure a random explicit body on `support` in `state` and in its
+        dense reference; returns the picked branch of each."""
+        spec = ProjectorSpec(support, random_body(np.random.default_rng(seed),
+                                                  len(support), True))
+        mat = spec.materialize()
+        branches = state.measure_branches(spec)
+        assert len(branches) == 2
+        (out, post), op = branches[pick], (mat, np.eye(len(mat)) - mat)[pick]
+        full = embed(op, support, d)
+        want = full @ ref @ full.conj().T
+        assert out.probability == pytest.approx(np.trace(want).real, abs=1e-12)
+        return post, want / np.trace(want).real
+
+    @staticmethod
+    def stored(state):
+        return sorted(sorted(labels) for _, _, labels in state._factors)
+
+    def test_disjoint_measurements_keep_two_small_factors(self):
+        # four leaves each holding one register on the 4 measured qubits
+        # would keep 4 * 16 * 4^4 bytes (16 KB) in registers alone; two
+        # factors on 2 qubits take 16 * 4^2 bytes apiece, and the peak is
+        # then mostly numpy's small fixed temporaries (about 10 KB)
+        first, second = (
+            ProjectorSpec(support, random_body(np.random.default_rng(seed), 2, True))
+            for seed, support in ((1, (0, 1)), (2, (5, 4))))
+        first.materialize(), second.materialize()
+        tracemalloc.start()
+        try:
+            states = [state for _, branch in DensityState(8).measure_branches(first)
+                      for _, state in branch.measure_branches(second)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 4
+        for state in states:
+            assert self.stored(state) == [[0, 1], [4, 5]]
+            assert [register.size for register, _, _ in state._factors] == [16, 16]
+        assert peak < 4 * 16 * 4 ** 4
+
+    def test_branch_shares_unmeasured_factors(self):
+        d = 6
+        state, ref = DensityState(d), np.eye(2 ** d, dtype=complex) / 2 ** d
+        for seed, support in ((3, (0, 1)), (4, (3,)), (5, (5, 2))):
+            state, ref = self.measure(state, ref, d, support, seed)
+        assert self.stored(state) == [[0, 1], [2, 5], [3]]
+        # supports inside one factor, across two, and on an unstored qubit,
+        # with the number of factors each one touches
+        for seed, (support, touched) in enumerate(
+                (((3,), 1), ((1, 0), 1), ((3, 0), 2), ((4,), 0))):
+            before = [(register, register.copy(), labels)
+                      for register, _, labels in state._factors]
+            for pick in (0, 1):
+                branch, _ = self.measure(state, ref, d, support, seed, pick)
+                labels = [q for _, _, named in branch._factors for q in named]
+                assert len(labels) == len(set(labels))
+                shared = [(register, named) for register, _, named in branch._factors
+                          if not set(named) & set(support)]
+                assert len(shared) == len(before) - touched
+                for register, named in shared:
+                    assert any(register is old and named == old_named
+                               for old, _, old_named in before)
+            for register, copy, _ in before:
+                np.testing.assert_array_equal(register, copy)
+            state, ref = self.measure(state, ref, d, support, seed)
+            np.testing.assert_allclose(state.reduced((2, 4)),
+                                       partial_trace(ref, (2, 4), d), rtol=0, atol=1e-12)
+
+    def test_spanning_support_merges_factors(self):
+        d = 6
+        rng = np.random.default_rng(7)
+        state, ref = DensityState(d), np.eye(2 ** d, dtype=complex) / 2 ** d
+        for seed, support in ((8, (1, 0)), (9, (4, 3)), (10, (5,)), (12, (2,))):
+            state, ref = self.measure(state, ref, d, support, seed)
+        assert self.stored(state) == [[0, 1], [2], [3, 4], [5]]
+        # a measurement across two factors merges them into one
+        state, ref = self.measure(state, ref, d, (3, 0), 11, pick=1)
+        assert self.stored(state) == [[0, 1, 3, 4], [2], [5]]
+        # a read across factors merges them too, here all three at once
+        for probe in ((2, 4, 5), (5, 1), (0, 2)):
+            np.testing.assert_allclose(state.reduced(probe), partial_trace(ref, probe, d),
+                                       rtol=0, atol=1e-12)
+            spec = ProjectorSpec(probe, random_body(rng, len(probe), True))
+            want = np.trace(embed(spec.materialize(), probe, d) @ ref).real
+            assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
+        assert self.stored(state) == [[0, 1, 2, 3, 4, 5]]
+        np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
 
 
 class TestMeasureStep:

@@ -214,6 +214,39 @@ def test_verify_needs_a_tree(capsys, check, count):
     assert "--random" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["run", "{instance}", "--delta", "1.5"], "--delta"),
+    (["run", "{instance}", "--delta", "0"], "--delta"),
+    (["run", "{instance}", "--delta", "nan"], "--delta"),
+    (["gen", "--classical", "--delta", "1"], "--delta"),
+    (["verify", "threshold", "--delta", "-0.25"], "--delta"),
+    (["verify", "failure-bound", "--instance", "{instance}",
+      "--results", "{results}", "--delta", "1"], "--delta"),
+    (["run", "{instance}", "--threshold", "0"], "--threshold"),
+    (["verify", "failure-bound", "--instance", "{instance}",
+      "--results", "{results}", "--T", "0"], "--T"),
+    (["verify", "entropy", "--random", "1", "--T", "0"], "--T"),
+    (["verify", "counts", "--random", "1", "--T", "-1"], "--T"),
+], ids=["run-delta-above", "run-delta-zero", "run-delta-nan", "gen-delta",
+        "threshold-delta", "failure-bound-delta", "run-threshold",
+        "failure-bound-T", "entropy-T", "counts-T"])
+def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, option):
+    # refused at parse time with exit 2 and one error line: exit 1 is
+    # reserved for a failed check, and T = 0 must not run as the default
+    results = tmp_path / "results.jsonl"
+    results.write_text("")
+    paths = {"results": results,
+             "instance": Path(__file__).parent / "data" / "classical.json"}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*(a.format(**paths) for a in argv), "-o", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.endswith("\n") and option in captured.err.splitlines()[-1]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("given", [[], ["--instance", "x.json"],
                                    ["--results", "r.jsonl"]])
 def test_verify_failure_bound_needs_its_inputs(tmp_path, capsys, given):
