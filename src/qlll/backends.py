@@ -39,6 +39,13 @@ its Born weight from that block and the product.  The collapsed state is a
 view of the product with the axes back in place, never made contiguous,
 since the norm sums in memory order and a state's last bits reach the
 serialised energies.
+
+The diagonal kernel draws its random bits in blocks: one generator call
+for the initial bits and the first 64 fresh ones, then one per further 64
+replaced qubits.  The values are those of one scalar draw per bit, because
+a DiagonalState owns its generator: nothing draws from it after the
+constructor (the walk's neighbourhood shuffle comes before, its closing
+check draws nothing).
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ TRAJECTORY_CAP = 14
 DENSITY_CAP = 8
 EIG_FLOOR = 1e-12
 BRANCH_PRUNE = 1e-12
+_FRESH_BLOCK = 64   # DiagonalState's fresh bits per generator call
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +447,24 @@ class DiagonalState:
     memoryview of `bits` whose items are plain ints, and one set-membership
     test against the forbidden bit tuples.  `bits` stays an int8 array;
     assigning a new one rebuilds the view.
+
+    The state owns `rng` from construction on: nothing else may draw from
+    it, since the bits come in blocks.  The constructor makes one call,
+    integers(0, 2, size=n + _FRESH_BLOCK); the first n values are the
+    initial bits and the rest are kept, reversed, as fresh bits that
+    replace_qubits pops in draw order, refilling with the next
+    _FRESH_BLOCK draws while the support needs more than are left.  For
+    integers(0, 2) numpy gives the same values for k scalar calls as for
+    one size-k call, so the bits equal those of one scalar draw per
+    replaced qubit.
     """
 
     def __init__(self, n: int, rng):
         self.n = n
         self.rng = rng
-        self.bits = rng.integers(0, 2, size=n)
+        drawn = rng.integers(0, 2, size=n + _FRESH_BLOCK)
+        self.bits = drawn[:n]
+        self._fresh = drawn[n:][::-1].tolist()
 
     @property
     def bits(self) -> np.ndarray:
@@ -454,11 +474,6 @@ class DiagonalState:
     def bits(self, value) -> None:
         self._bits = np.asarray(value, dtype=np.int8)
         self._cells = memoryview(self._bits)
-
-    def copy(self) -> "DiagonalState":
-        new = object.__new__(DiagonalState)
-        new.n, new.rng, new.bits = self.n, self.rng, self.bits.copy()
-        return new
 
     def expectation(self, spec: ProjectorSpec) -> float:
         clause = spec.clause
@@ -474,9 +489,15 @@ class DiagonalState:
         return ((self.measure_projector(spec), self),)
 
     def replace_qubits(self, support) -> None:
-        cells, rng = self._cells, self.rng
+        cells, fresh = self._cells, self._fresh
+        while len(fresh) < len(support):
+            # the next block is drawn after the bits still held, so it goes
+            # underneath them: pop() keeps returning the bits in draw order
+            block = self.rng.integers(0, 2, size=_FRESH_BLOCK)[::-1].tolist()
+            self._fresh = fresh = block + fresh
+        pop = fresh.pop
         for q in support:
-            cells[q] = int(rng.integers(0, 2))
+            cells[q] = pop()
 
 
 class DiagonalDistribution:

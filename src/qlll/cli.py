@@ -141,9 +141,14 @@ def _random_tree_reports(args, check):
 
 def cmd_verify(args) -> int:
     if args.check == "binom":
-        report = verifiers.check_binomial_inequality(
-            range(0, args.m_max + 1), range(args.g_min, args.g_max + 1),
-            range(1, args.t_max + 1))
+        grid = (range(0, args.m_max + 1), range(args.g_min, args.g_max + 1),
+                range(1, args.t_max + 1))
+        if not all(grid):
+            # an inequality checked over no points would hold vacuously
+            print("binom needs a non-empty grid: --m-max >= 0, "
+                  "--g-max >= --g-min and --t-max >= 1", file=sys.stderr)
+            return 2
+        report = verifiers.check_binomial_inequality(*grid)
     elif args.check == "threshold":
         lo, hi = args.m_span
         report = verifiers.check_threshold_inequality(
@@ -183,14 +188,28 @@ def cmd_verify(args) -> int:
 
 def _span(text: str):
     lo, _, hi = text.partition("..")
-    return (int(lo), int(hi or lo))
+    lo, hi = int(lo), int(hi or lo)
+    if lo < 2:
+        raise argparse.ArgumentTypeError(f"must start at 2 or above, got {text}")
+    if hi < lo:
+        # an inequality checked over no rows would hold vacuously
+        raise argparse.ArgumentTypeError(f"must not be empty, got {text}")
+    return (lo, hi)
+
+
+def _at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
 
 
 def positive_int(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+    return _at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _at_least(text, 0)
 
 
 def open_unit_float(text: str) -> float:
@@ -214,8 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "unitaries")
     gen.add_argument("-n", type=int, default=20)
     gen.add_argument("-k", type=int, default=3)
-    gen.add_argument("-m", type=int, default=12, help="clause count")
-    gen.add_argument("-g", type=int, default=2, help="neighborhood cap")
+    gen.add_argument("-m", type=non_negative_int, default=12,
+                     help="clause count")
+    gen.add_argument("-g", type=positive_int, default=2,
+                     help="neighborhood cap")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--delta", type=open_unit_float, default=0.25)
     gen.add_argument("--threshold", type=int, default=None,
@@ -247,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, default=2)
     ver.add_argument("--k", type=int, default=2)
     ver.add_argument("--m", type=int, default=2)
-    ver.add_argument("--g", type=int, default=2)
-    ver.add_argument("--r", "--rank", dest="rank", type=int, default=1)
+    ver.add_argument("--g", type=positive_int, default=2)
+    ver.add_argument("--r", "--rank", dest="rank", type=positive_int, default=1)
     ver.add_argument("--T", type=positive_int, default=None,
                      help="threshold override (entropy/counts default 2; "
                           "failure-bound defaults to the instance's own T)")
@@ -261,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m-span", type=_span, default=(2, 50),
                      help="threshold check range, e.g. 2..50")
     ver.add_argument("--m-max", type=int, default=30)
-    ver.add_argument("--g-min", type=int, default=2)
+    ver.add_argument("--g-min", type=positive_int, default=2)
     ver.add_argument("--g-max", type=int, default=6)
     ver.add_argument("--t-max", type=int, default=20)
     ver.add_argument("--results", default=None)

@@ -199,12 +199,13 @@ def compute_neighborhood(projectors):
     Returns (neighborhood, g) with each list sorted ascending and
     g = max list length (1 when there are no projectors).
     """
-    sets = [set(p.support) for p in projectors]
-    neighborhood = []
-    for i, si in enumerate(sets):
-        neighborhood.append(tuple(
-            j for j, sj in enumerate(sets) if si & sj
-        ))
+    touching = {}  # qubit -> indices of the projectors acting on it
+    for i, p in enumerate(projectors):
+        for q in p.support:
+            touching.setdefault(q, []).append(i)
+    neighborhood = [
+        tuple(sorted({j for q in p.support for j in touching[q]}))
+        for p in projectors]
     g = max((len(nb) for nb in neighborhood), default=1)
     return tuple(neighborhood), max(g, 1)
 

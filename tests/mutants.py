@@ -56,6 +56,12 @@ MUTANTS = [
     ("density branch keeps the parent's pre-measurement factor",
      "src/qlll/backends.py", "state._factors = others + (",
      "state._factors = self._factors + (", False),
+    ("diagonal fresh bits popped from the wrong end", "src/qlll/backends.py",
+     "cells[q] = pop()", "cells[q] = pop(0)", False),
+    # killed only by a support that straddles a refill
+    ("diagonal refill in front of the remaining fresh bits",
+     "src/qlll/backends.py", "self._fresh = fresh = block + fresh",
+     "self._fresh = fresh = fresh + block", False),
     # numpy divides a complex number by n + 0j as (re + im*0) * (1/n)
     ("trajectory renormalisation by division", "src/qlll/backends.py",
      "self.psi *= 1.0 / norm", "self.psi /= norm", True),

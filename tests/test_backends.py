@@ -196,6 +196,28 @@ class TestReplacement:
         np.testing.assert_array_equal(np.diag(state.rho),
                                       np.array([0, 4, 1, 5, 2, 6, 3, 7]) / 28)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_diagonal_block_draws_match_scalar_draws(self, seed):
+        # the fresh bits come in blocks of 64, but must be the values of one
+        # scalar draw per replaced qubit from a same-seeded generator
+        n = 7
+        state = DiagonalState(n, np.random.default_rng(seed))
+        ref = np.random.default_rng(seed)
+        want = [int(b) for b in ref.integers(0, 2, size=n)]
+        assert state.bits.tolist() == want
+        pick = np.random.default_rng(100 + seed)
+        refills = straddles = 0
+        for step in range(120):
+            support = pick.permutation(n)[:1 + step % 4].tolist()
+            left = len(state._fresh)
+            refills += left < len(support)
+            straddles += 0 < left < len(support)
+            state.replace_qubits(support)
+            for q in support:
+                want[q] = int(ref.integers(0, 2))
+            assert state.bits.tolist() == want, step
+        assert refills >= 3 and straddles >= 1
+
     def test_diagonal_distribution_replace(self):
         dist = DiagonalDistribution(2, probs=np.array([[0.9, 0.1], [0.0, 0.0]]))
         dist.replace_qubits([0])
@@ -765,8 +787,6 @@ class TestCompiledClause:
         assert state.expectation(spec) == 1.0
         state.bits[0] = 1
         assert state.expectation(spec) == 0.0
-        clone = state.copy()
-        clone.replace_qubits([0, 1, 2])
         assert list(state.bits) == [1, 1, 1]
 
     def test_non_diagonal_body_raises(self):

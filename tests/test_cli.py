@@ -227,12 +227,20 @@ def test_verify_needs_a_tree(capsys, check, count):
       "--results", "{results}", "--T", "0"], "--T"),
     (["verify", "entropy", "--random", "1", "--T", "0"], "--T"),
     (["verify", "counts", "--random", "1", "--T", "-1"], "--T"),
+    (["gen", "--classical", "-g", "0"], "-g"),
+    (["gen", "--classical", "-m", "-2", "--threshold", "3"], "-m"),
+    (["verify", "threshold", "--g", "0"], "--g"),
+    (["verify", "threshold", "--r", "0"], "--r"),
+    (["verify", "threshold", "--m-span", "0..3"], "--m-span"),
+    (["verify", "binom", "--g-min", "0"], "--g-min"),
 ], ids=["run-delta-above", "run-delta-zero", "run-delta-nan", "gen-delta",
         "threshold-delta", "failure-bound-delta", "run-threshold",
-        "failure-bound-T", "entropy-T", "counts-T"])
+        "failure-bound-T", "entropy-T", "counts-T", "gen-g", "gen-m",
+        "threshold-g", "threshold-r", "threshold-m-span", "binom-g-min"])
 def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, option):
     # refused at parse time with exit 2 and one error line: exit 1 is
-    # reserved for a failed check, and T = 0 must not run as the default
+    # reserved for a failed check, T = 0 must not run as the default, and
+    # g = 0 or r = 0 must not reach a logarithm
     results = tmp_path / "results.jsonl"
     results.write_text("")
     paths = {"results": results,
@@ -244,6 +252,26 @@ def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, option)
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.endswith("\n") and option in captured.err.splitlines()[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["binom", "--t-max", "0"],
+    ["binom", "--g-max", "1"],
+    ["binom", "--m-max", "-1"],
+    ["threshold", "--m-span", "5..3"],
+], ids=["binom-t", "binom-g", "binom-m", "threshold-m-span"])
+def test_empty_verification_grid_is_a_usage_error(tmp_path, capsys, argv):
+    # an inequality checked over no points would hold vacuously
+    out = tmp_path / "out"
+    try:
+        code = main(["verify", *argv, "-o", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.endswith("\n") and "empty" in captured.err.splitlines()[-1]
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from qlll.instances import (
 )
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def diag(support, *patterns):
     return ProjectorSpec(tuple(support), Diagonal(frozenset(patterns)))
 
@@ -50,6 +54,35 @@ class TestNeighborhood:
             diag([0, 1, 2], "000"), diag([2, 3, 4], "000"), diag([4, 5, 6], "000")])
         assert nb[1] == (0, 1, 2)
         assert g == 3
+
+    @staticmethod
+    def pairwise(projectors):
+        # the definition: j is in i's neighbourhood when their supports meet
+        sets = [set(p.support) for p in projectors]
+        nb = tuple(tuple(j for j, sj in enumerate(sets) if si & sj)
+                   for si in sets)
+        return nb, max(max((len(x) for x in nb), default=1), 1)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_definition_random(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        # supports of 0..4 qubits in any order, empty ones included
+        projectors = [
+            diag(rng.permutation(n)[:int(rng.integers(0, min(n, 4) + 1))].tolist())
+            for _ in range(int(rng.integers(0, 15)))]
+        assert compute_neighborhood(projectors) == self.pairwise(projectors)
+        inst = random_instance(6, 2, 5, seed=seed, commuting=bool(seed % 2))
+        assert compute_neighborhood(inst.projectors) == self.pairwise(inst.projectors)
+
+    @pytest.mark.parametrize("name", ["classical", "rotated"])
+    def test_matches_pairwise_definition_fixtures(self, name):
+        projectors = load_instance(DATA / f"{name}.json").projectors
+        assert compute_neighborhood(projectors) == self.pairwise(projectors)
+
+    def test_matches_pairwise_definition_generated(self):
+        projectors = generate_classical_instance(200, 4, 150, 5, seed=1000).projectors
+        assert compute_neighborhood(projectors) == self.pairwise(projectors)
 
     def test_reflexive_and_symmetric(self):
         inst = generate_classical_instance(12, 3, 5, 3, seed=2)
