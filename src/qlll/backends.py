@@ -18,18 +18,17 @@ Tensor convention: an n-qubit pure state is stored as an ndarray of shape
 factors: disjoint trace-1 registers, each on qubits that measurements have
 joined (DensityState(d, rho) starts with one on all d), times an implicit
 maximally mixed factor I/2 on every other qubit, which is never stored.
-Each factor sits in a labelled block layout (see DensityState): the rows
-and columns of a front block of qubits, then those of the rest, with a
-label naming the qubit at each position.  A measurement or a read merges
+DENSITY_CAP bounds the qubits of one factor, not d.  Each factor sits in a
+labelled block layout (see DensityState).  A measurement or a read merges
 the factors holding its support's stored qubits and touches no other; an
 unstored support qubit is folded in where it is needed: a measurement
 folds it into its operator, a reduced state or an expectation into its
-2^k x 2^k result.  A density measurement weighs its branches on the
-reduced state of the support and builds each kept one with a single matrix
-product for supports of at most 2 qubits (two for larger ones), sharing
-the other factors with its parent.  The plain matrix (row axes first,
-qubit 0 most significant) is the reduced state on every qubit; reading it
-keeps it as the only factor.
+2^k x 2^k result.  A read stores nothing, so the factors are those FIX's
+measurements built; only `rho`, the plain matrix (row axes first, qubit 0
+most significant), caches itself as the only factor.  A density
+measurement weighs its branches on the reduced state of the support and
+builds each kept one with a single matrix product for supports of at most
+2 qubits (two for larger ones), sharing the other factors with its parent.
 Bit 0 of a local operator's index is its support[0] qubit (most
 significant), matching the instance module.
 
@@ -246,20 +245,21 @@ class DensityState:
     measured it and until its replacement traces it out; a measurement puts
     its whole support into one factor, so factors form from what FIX
     measures and, as FIX never measures across connected components, never
-    span two.  DensityState(d) starts with no factor, DensityState(d, rho)
-    with one factor on all d qubits.  A register is a flat array of 4^a
-    entries for its a qubits in a labelled block layout: its 2a binary axes
-    are the rows of the front k positions, their columns, then the rows and
-    the columns of the other a - k positions, and labels[p] names the qubit
-    at position p.
+    span two.  DensityState(d) starts with no factor, for any d,
+    DensityState(d, rho) with one factor on all d qubits.  A register is a
+    flat array of 4^a entries for its a qubits in a labelled block layout:
+    its 2a binary axes are the rows of the front k positions, their
+    columns, then the rows and the columns of the other a - k positions,
+    and labels[p] names the qubit at position p.
 
     A measurement, a reduced state and an expectation each find the factors
     holding the support's stored qubits, merge them when there are two or
     more (per extra factor one outer product and one transpose into the
     plain layout), and bring those qubits to the front of the result (one
-    transpose, skipped when they are there already), which becomes the last
-    factor.  The other factors are not touched.  A reduced state, and so an
-    expectation, folds the support's unstored qubits into its 2^k x 2^k
+    transpose, skipped when they are there already).  DENSITY_CAP bounds
+    that result's qubits plus the support's unstored ones, checked before
+    anything is allocated.  A read stores nothing.  A reduced state, and so
+    an expectation, folds the support's unstored qubits into its 2^k x 2^k
     result as I/m; a measurement folds them into its operator, as its
     columns summed against I/m.  The measurement then reads both Born
     weights from the reduced state of the support and drops a branch below
@@ -271,10 +271,10 @@ class DensityState:
     on the (front row, front column) index pair with the factor; for larger
     k, where that superoperator would cost 2^(k-1) times the multiply-adds,
     it is op on the front rows, then op*/p on the front columns.  `rho` is
-    the reduced state on qubits 0..d-1, the plain matrix, and reading it
-    stores it back as the only factor (all d qubits, k = 0, labels
-    0..d-1): a leaf's 4^d entries are then built once, not freed and built
-    again at each read.  Assigning `rho` resets the layout.
+    the reduced state on qubits 0..d-1, the plain matrix, and the one read
+    that stores: it caches the matrix as the only factor (all d qubits,
+    k = 0, labels 0..d-1), built once rather than at each read.  Assigning
+    `rho` resets the layout.
 
     replace_qubits(support) swaps the support into the next unused stock
     qubits while enough are left, which only relabels (an active qubit
@@ -286,9 +286,6 @@ class DensityState:
     """
 
     def __init__(self, d: int, rho=None, stock: int = 0):
-        if d > DENSITY_CAP:
-            raise DimensionTooLarge(
-                f"density backend capped at {DENSITY_CAP} qubits, got {d}")
         self.d = d
         self.stock = stock
         self.stock_used = 0
@@ -300,9 +297,8 @@ class DensityState:
 
     @property
     def rho(self) -> np.ndarray:
-        """The plain 2^d x 2^d matrix, qubit 0 most significant.  Reading it
-        stores every qubit and keeps the matrix as the only factor, so a
-        large matrix is built once rather than freed and built again."""
+        """The plain 2^d x 2^d matrix, qubit 0 most significant, cached as
+        the only factor (see the class docstring); raises above the cap."""
         self.rho = self.reduced(range(self.d))
         return self._factors[0][0].reshape(2 ** self.d, 2 ** self.d)
 
@@ -314,15 +310,21 @@ class DensityState:
     def _arrange(self, support):
         """Merge the factors holding the support's stored qubits into one and
         bring those qubits, in support order, to its front with one
-        transpose (skipped when they are there already); the result becomes
-        the last factor.  Returns the other factors; the arranged register
-        as a (2^s, 2^s, 2^(a-s), 2^(a-s)) array for s stored support qubits
-        out of its a (a 1-entry register when s = 0, which is not stored);
-        the labels of its a - s other positions; and the support's unstored
-        and stored bit positions, the order of the bits of the support's
-        index in I/m ⊗ (the front block)."""
+        transpose (skipped when they are there already), storing nothing;
+        first raise DimensionTooLarge when the merged qubits and the
+        support's unstored ones, the factor a measurement builds, exceed
+        DENSITY_CAP.  Returns the other factors; the arranged register as a
+        (2^s, 2^s, 2^(a-s), 2^(a-s)) array for s stored support qubits out of
+        its a (a 1-entry register when s = 0); the labels of its a - s other
+        positions; and the support's unstored and stored bit positions, the
+        order of the bits of the support's index in I/m ⊗ (the front block)."""
         owner = {q: i for i, factor in enumerate(self._factors) for q in factor[2]}
         hit = {owner[q] for q in support if q in owner}
+        size = sum(len(self._factors[i][2]) for i in hit) \
+            + sum(q not in owner for q in support)
+        if size > DENSITY_CAP:
+            raise DimensionTooLarge(f"a density factor of {size} qubits exceeds "
+                                    f"the cap of {DENSITY_CAP}")
         others = tuple(f for i, f in enumerate(self._factors) if i not in hit)
         register, front, old = _merge(
             [f for i, f in enumerate(self._factors) if i in hit])
@@ -335,8 +337,6 @@ class DensityState:
         axes = rows[:s] + cols[:s] + rows[s:] + cols[s:]
         if axes != list(range(2 * a)):
             register = register.reshape((2,) * (2 * a)).transpose(axes).reshape(-1)
-        if hit:
-            self._factors = others + ((register, s, labels),)
         rest = 2 ** (a - s)
         return (others, register.reshape(2 ** s, 2 ** s, rest, rest), labels[s:],
                 [i for i, q in enumerate(support) if q not in where],

@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--rotate", metavar="PATH",
                         help="conjugate an existing instance by random local "
                              "unitaries")
-    gen.add_argument("-n", type=int, default=20)
-    gen.add_argument("-k", type=int, default=3)
+    gen.add_argument("-n", type=positive_int, default=20)
+    gen.add_argument("-k", type=positive_int, default=3)
     gen.add_argument("-m", type=non_negative_int, default=12,
                      help="clause count")
     gen.add_argument("-g", type=positive_int, default=2,
@@ -265,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run one verifier and report JSON")
     ver.add_argument("check", choices=["entropy", "counts", "binom",
                                        "threshold", "failure-bound"])
-    ver.add_argument("--n", type=int, default=2)
-    ver.add_argument("--k", type=int, default=2)
+    ver.add_argument("--n", type=positive_int, default=2)
+    ver.add_argument("--k", type=positive_int, default=2)
     ver.add_argument("--m", type=int, default=2)
     ver.add_argument("--g", type=positive_int, default=2)
     ver.add_argument("--r", "--rank", dest="rank", type=positive_int, default=1)

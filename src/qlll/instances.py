@@ -483,18 +483,19 @@ def random_instance(n, k, m, rank=1, seed=0, commuting=False) -> Instance:
     Haar single-qubit rotations.  commuting=False: independent Haar-random
     rank-`rank` projectors on random supports, generically non-commuting.
     """
+    if k > n:
+        raise InfeasibleLayout(f"k={k} exceeds n={n}")
     rng = np.random.default_rng(seed)
     projectors = []
     for _ in range(m):
-        kk = min(k, n)
-        sup = tuple(sorted(rng.choice(n, size=kk, replace=False).tolist()))
+        sup = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         if commuting:
-            patterns = rng.choice(2 ** kk, size=rank, replace=False)
-            forb = frozenset(format(int(p), f"0{kk}b") for p in patterns)
+            patterns = rng.choice(2 ** k, size=rank, replace=False)
+            forb = frozenset(format(int(p), f"0{k}b") for p in patterns)
             projectors.append(ProjectorSpec(sup, Diagonal(forb)))
         else:
-            z = (rng.standard_normal((2 ** kk, rank))
-                 + 1j * rng.standard_normal((2 ** kk, rank)))
+            z = (rng.standard_normal((2 ** k, rank))
+                 + 1j * rng.standard_normal((2 ** k, rank)))
             q, _ = np.linalg.qr(z)
             projectors.append(ProjectorSpec(sup, Explicit(q @ q.conj().T)))
     inst = build_instance(n, projectors,

@@ -59,8 +59,10 @@ def enumerate_history_tree(instance: Instance, config: SolverConfig,
     With the stock materialized, the register holds n + N qubits, the last
     N = T*k of them maximally mixed stock that each replacement swaps in
     (DensityState(n + N, stock=N)), so branch entropies follow the same
-    bookkeeping as the failure-probability argument; keep T small via
-    config.threshold_override.
+    bookkeeping as the failure-probability argument.  The enumeration runs
+    at any d while each density factor, the qubits FIX measured together,
+    stays within DENSITY_CAP; the entropy checks read each leaf's `rho`, so
+    they need d <= DENSITY_CAP.
     """
     derived = derive_params(instance, config)
     stock_n = derived.stock_size_N if materialize_stock else 0

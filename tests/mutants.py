@@ -62,6 +62,15 @@ MUTANTS = [
     ("diagonal refill in front of the remaining fresh bits",
      "src/qlll/backends.py", "self._fresh = fresh = block + fresh",
      "self._fresh = fresh = fresh + block", False),
+    # killed by test_dimension_cap: 9 fresh qubits would count as none
+    ("density cap without the unstored support qubits", "src/qlll/backends.py",
+     "+ sum(q not in owner for q in support)", "+ 0", False),
+    # killed by test_spanning_support_merges_factors: a read must leave the
+    # factors as they were
+    ("density read stores its arranged factor", "src/qlll/backends.py",
+     "        rest = 2 ** (a - s)\n",
+     "        if hit:\n            self._factors = others + ((register, s, labels),)\n"
+     "        rest = 2 ** (a - s)\n", False),
     # numpy divides a complex number by n + 0j as (re + im*0) * (1/n)
     ("trajectory renormalisation by division", "src/qlll/backends.py",
      "self.psi *= 1.0 / norm", "self.psi /= norm", True),

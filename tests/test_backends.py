@@ -85,8 +85,33 @@ class TestInitFullyMixed:
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
             TrajectoryState(15, np.random.default_rng(0))
-        with pytest.raises(DimensionTooLarge):
-            DensityState(9)
+        # the density cap bounds one factor, not the register: 9 qubits
+        # construct and measure while every factor stays within 8
+        state = DensityState(9)
+        for support in ((0, 1, 2, 3), (4, 5, 6, 7, 8)):
+            (_, state), _ = state.measure_branches(diag(support, "0" * len(support)))
+        assert sorted(len(labels) for _, _, labels in state._factors) == [4, 5]
+        # a measurement whose factor would hold 9 qubits: two merged
+        # factors, or 9 fresh qubits
+        for measured, spec in ((state, diag((3, 4), "00")),
+                               (DensityState(9), diag(range(9), "0" * 9))):
+            with pytest.raises(DimensionTooLarge, match="9 qubits"):
+                measured.measure_branches(spec)
+        # reads above the cap raise before they allocate: a 9-qubit merge
+        # takes 16 * 4^9 bytes (4 MB), and the rho of a 29-qubit leaf with
+        # one 3-qubit factor, criterion 1's register at T = 3, 16 * 4^29
+        leaf = DensityState(29)
+        (_, leaf), _ = leaf.measure_branches(diag((0, 1, 2), "000"))
+        tracemalloc.start()
+        try:
+            for read in (lambda: state.rho, lambda: state.reduced((3, 4)),
+                         lambda: leaf.rho, lambda: leaf.reduced(range(10))):
+                with pytest.raises(DimensionTooLarge):
+                    read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4 ** 8 // 64
 
 
 class TestMeasurement:
@@ -540,15 +565,22 @@ class TestFactors:
         # a measurement across two factors merges them into one
         state, ref = self.measure(state, ref, d, (3, 0), 11, pick=1)
         assert self.stored(state) == [[0, 1, 3, 4], [2], [5]]
-        # a read across factors merges them too, here all three at once
+        # a read across factors merges them only for its result, here all
+        # three at once: the factors stay the same arrays and labels
+        factors = state._factors
         for probe in ((2, 4, 5), (5, 1), (0, 2)):
             np.testing.assert_allclose(state.reduced(probe), partial_trace(ref, probe, d),
                                        rtol=0, atol=1e-12)
             spec = ProjectorSpec(probe, random_body(rng, len(probe), True))
             want = np.trace(embed(spec.materialize(), probe, d) @ ref).real
             assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
-        assert self.stored(state) == [[0, 1, 2, 3, 4, 5]]
+        assert len(state._factors) == len(factors)
+        for (now, front, labels), (then, then_front, then_labels) in zip(
+                state._factors, factors):
+            assert now is then and (front, labels) == (then_front, then_labels)
+        # rho, the one read that stores, caches the plain matrix
         np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
+        assert self.stored(state) == [[0, 1, 2, 3, 4, 5]]
 
 
 class TestMeasureStep:

@@ -233,10 +233,15 @@ def test_verify_needs_a_tree(capsys, check, count):
     (["verify", "threshold", "--r", "0"], "--r"),
     (["verify", "threshold", "--m-span", "0..3"], "--m-span"),
     (["verify", "binom", "--g-min", "0"], "--g-min"),
+    (["gen", "--classical", "-n", "0", "--threshold", "3"], "-n"),
+    (["gen", "--classical", "-k", "-1", "--threshold", "3"], "-k"),
+    (["verify", "entropy", "--random", "1", "--n", "0"], "--n"),
+    (["verify", "counts", "--random", "1", "--k", "0"], "--k"),
 ], ids=["run-delta-above", "run-delta-zero", "run-delta-nan", "gen-delta",
         "threshold-delta", "failure-bound-delta", "run-threshold",
         "failure-bound-T", "entropy-T", "counts-T", "gen-g", "gen-m",
-        "threshold-g", "threshold-r", "threshold-m-span", "binom-g-min"])
+        "threshold-g", "threshold-r", "threshold-m-span", "binom-g-min",
+        "gen-n", "gen-k", "entropy-n", "counts-k"])
 def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, option):
     # refused at parse time with exit 2 and one error line: exit 1 is
     # reserved for a failed check, T = 0 must not run as the default, and
@@ -252,6 +257,18 @@ def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, option)
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.endswith("\n") and option in captured.err.splitlines()[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["entropy", "counts"])
+def test_verify_refuses_clauses_wider_than_the_register(tmp_path, capsys, check):
+    # k = 5 on n = 2 qubits must not be checked as 2-qubit clauses
+    out = tmp_path / "out"
+    code = main(["verify", check, "--n", "2", "--k", "5", "--random", "1",
+                 "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == "InfeasibleLayout: k=5 exceeds n=2\n"
     assert not out.exists()
 
 

@@ -150,6 +150,12 @@ class TestGenerator:
         with pytest.raises(InfeasibleLayout):
             generate_classical_instance(4, 3, 3, 1, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_random_instance_refuses_k_above_n(self, n):
+        # k is never clipped to n
+        with pytest.raises(InfeasibleLayout, match=f"k=5 exceeds n={n}"):
+            random_instance(n, 5, 2)
+
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_neighborhood_cap_respected(self, seed):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from qlll.instances import (
     Rotated,
     build_instance,
     generate_classical_instance,
+    load_instance,
     random_instance,
+    rotate_instance,
 )
 from qlll.solver import SolverConfig, run
 from qlll.verifiers import (
@@ -26,6 +29,10 @@ from qlll.verifiers import (
     enumerate_outcome_distribution,
     failure_probability_bound,
 )
+
+
+# the criterion-1 instance: n = 20, 12 clauses of 3 qubits in 6 components
+CRITERION_1 = Path(__file__).parent / "data" / "classical.json"
 
 
 def diag(support, *patterns):
@@ -229,6 +236,25 @@ class TestOutcomeDistributions:
         assert set(dd) == set(gg)
         for key in dd:
             assert dd[key] == pytest.approx(gg[key], abs=1e-9)
+
+    def test_criterion_1_law_matches_the_diagonal_oracle(self):
+        # the density factors stay within their components, so the law runs
+        # at d = 20; the diagonal oracle builds 2^20 arrays per measurement
+        # (several seconds), hence one T only
+        inst = load_instance(CRITERION_1)
+        law = enumerate_outcome_distribution(inst, 3)
+        oracle = enumerate_outcome_distribution(inst, 3, backend="diagonal")
+        assert len(law) == 434 and set(law) == set(oracle)
+        assert max(abs(law[s] - oracle[s]) for s in law) <= 1e-12
+
+    def test_criterion_1_rotation_keeps_the_law(self):
+        inst = load_instance(CRITERION_1)
+        rotated = rotate_instance(inst, seed=11)
+        assert not rotated.is_diagonal()
+        law = enumerate_outcome_distribution(inst, 3)
+        rotated_law = enumerate_outcome_distribution(rotated, 3)
+        assert set(rotated_law) == set(law)
+        assert max(abs(rotated_law[s] - law[s]) for s in law) <= 1e-12
 
     def test_distribution_normalized(self):
         inst = generate_classical_instance(3, 2, 2, 3, seed=6)
