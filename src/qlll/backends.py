@@ -19,16 +19,16 @@ factors: disjoint trace-1 registers, each on qubits that measurements have
 joined (DensityState(d, rho) starts with one on all d), times an implicit
 maximally mixed factor I/2 on every other qubit, which is never stored.
 DENSITY_CAP bounds the qubits of one factor, not d.  Each factor sits in a
-labelled block layout (see DensityState).  A measurement or a read merges
-the factors holding its support's stored qubits and touches no other; an
-unstored support qubit is folded in where it is needed: a measurement
-folds it into its operator, a reduced state or an expectation into its
-2^k x 2^k result.  A read stores nothing, so the factors are those FIX's
-measurements built; only `rho`, the plain matrix (row axes first, qubit 0
-most significant), caches itself as the only factor.  A density
-measurement weighs its branches on the reduced state of the support and
-builds each kept one with a single matrix product for supports of at most
-2 qubits (two for larger ones), sharing the other factors with its parent.
+labelled block layout (see DensityState).  A measurement, a read and an
+out-of-stock replacement each build one step factor and touch no other:
+the factors holding the support's stored qubits times I/m on its m
+unstored ones, with the support at the front.  A read stores nothing, so
+the factors are those FIX's measurements built; only `rho`, the plain
+matrix (row axes first, qubit 0 most significant), caches itself as the
+only factor.  A density measurement weighs its branches on the reduced
+state of the support and builds each kept one with a single matrix
+product for supports of at most 2 qubits (two for larger ones), sharing
+the other factors with its parent.
 Bit 0 of a local operator's index is its support[0] qubit (most
 significant), matching the instance module.
 
@@ -49,6 +49,7 @@ check draws nothing).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,28 +213,6 @@ def _block_axes(front: int, a: int, positions):
     return rows, cols
 
 
-def _merge(factors):
-    """One factor holding the tensor product of the given ones, in the plain
-    layout (front 0) with their labels in order; the 1-entry factor on no
-    qubit when none is given, and the factor itself when one is."""
-    if not factors:
-        return np.ones(1, dtype=complex), 0, ()
-    register, front, labels = factors[0]
-    for other, other_front, other_labels in factors[1:]:
-        a, b = len(labels), len(other_labels)
-        # the outer product's axes: the first factor's 2a in its block
-        # layout, then the other's 2b; the plain layout wants every row axis
-        # (in label order), then every column axis
-        rows, cols = _block_axes(front, a, range(a))
-        other_rows, other_cols = _block_axes(other_front, b, range(b))
-        interleave = rows + [2 * a + r for r in other_rows] \
-            + cols + [2 * a + c for c in other_cols]
-        register = np.multiply.outer(register, other) \
-            .reshape((2,) * (2 * (a + b))).transpose(interleave).reshape(-1)
-        front, labels = 0, labels + other_labels
-    return register, front, labels
-
-
 class DensityState:
     """Exact density operator on d labeled qubits, the last `stock` of which
     are fresh maximally mixed stock qubits.
@@ -252,19 +231,18 @@ class DensityState:
     columns, then the rows and the columns of the other a - k positions,
     and labels[p] names the qubit at position p.
 
-    A measurement, a reduced state and an expectation each find the factors
-    holding the support's stored qubits, merge them when there are two or
-    more (per extra factor one outer product and one transpose into the
-    plain layout), and bring those qubits to the front of the result (one
-    transpose, skipped when they are there already).  DENSITY_CAP bounds
-    that result's qubits plus the support's unstored ones, checked before
-    anything is allocated.  A read stores nothing.  A reduced state, and so
-    an expectation, folds the support's unstored qubits into its 2^k x 2^k
-    result as I/m; a measurement folds them into its operator, as its
-    columns summed against I/m.  The measurement then reads both Born
-    weights from the reduced state of the support and drops a branch below
-    BRANCH_PRUNE before building anything.  Each kept branch replaces the
-    arranged factor by one holding the whole support at the front, built
+    A measurement, a reduced state, an expectation and an out-of-stock
+    replacement each work on one step factor, which `_arrange` builds and
+    nothing stores: the factors holding the support's stored qubits and I/m
+    on its m unstored ones, joined as one outer product and brought, support
+    first and in order, to the front by one transpose (skipped when nothing
+    moves).  DENSITY_CAP bounds that factor's qubits, checked before
+    anything is allocated.  A reduced state, and so an expectation, is its
+    front block or that block's partial trace; a replacement traces the
+    support out of it.  A measurement reads both Born weights from the
+    reduced state of the support and drops a branch below BRANCH_PRUNE
+    before building anything.  Each kept branch replaces the step factor's
+    parts by one factor holding the whole support at the front, built
     normalised with 1/p folded into a small operator, and shares every other
     factor with its parent by reference (no register is ever written in
     place): for k <= 2 it is one product of the superoperator (op/p ⊗ op*)
@@ -308,39 +286,46 @@ class DensityState:
         self._factors = ((register, 0, tuple(range(self.d))),)
 
     def _arrange(self, support):
-        """Merge the factors holding the support's stored qubits into one and
-        bring those qubits, in support order, to its front with one
-        transpose (skipped when they are there already), storing nothing;
-        first raise DimensionTooLarge when the merged qubits and the
-        support's unstored ones, the factor a measurement builds, exceed
-        DENSITY_CAP.  Returns the other factors; the arranged register as a
-        (2^s, 2^s, 2^(a-s), 2^(a-s)) array for s stored support qubits out of
-        its a (a 1-entry register when s = 0); the labels of its a - s other
-        positions; and the support's unstored and stored bit positions, the
-        order of the bits of the support's index in I/m ⊗ (the front block)."""
+        """The factor a step on the support builds, storing nothing: the
+        outer product of the factors holding the support's stored qubits and
+        of I/m on its m unstored ones, with the support, in order, brought to
+        the front by one transpose (skipped when nothing moves); first raise
+        DimensionTooLarge when that factor's qubits exceed DENSITY_CAP.
+        Returns the other factors, the factor as a (2^k, 2^k, 2^(a-k),
+        2^(a-k)) array for the k support qubits out of its a, and the labels
+        of its a - k other positions."""
         owner = {q: i for i, factor in enumerate(self._factors) for q in factor[2]}
         hit = {owner[q] for q in support if q in owner}
-        size = sum(len(self._factors[i][2]) for i in hit) \
-            + sum(q not in owner for q in support)
-        if size > DENSITY_CAP:
-            raise DimensionTooLarge(f"a density factor of {size} qubits exceeds "
+        unstored = tuple(q for q in support if q not in owner)
+        parts = [f for i, f in enumerate(self._factors) if i in hit]
+        labels = tuple(q for _, _, named in parts for q in named) + unstored
+        a, k = len(labels), len(support)
+        if a > DENSITY_CAP:
+            raise DimensionTooLarge(f"a density factor of {a} qubits exceeds "
                                     f"the cap of {DENSITY_CAP}")
         others = tuple(f for i, f in enumerate(self._factors) if i not in hit)
-        register, front, old = _merge(
-            [f for i, f in enumerate(self._factors) if i in hit])
-        where = {q: p for p, q in enumerate(old)}
-        stored = tuple(q for q in support if q in where)
-        s, a = len(stored), len(old)
-        labels = stored + tuple(q for q in old if q not in stored)
-        pos = [where[q] for q in labels]
-        rows, cols = _block_axes(front, a, pos)
-        axes = rows[:s] + cols[:s] + rows[s:] + cols[s:]
+        if unstored:
+            m = 2 ** len(unstored)
+            parts.append(((np.eye(m, dtype=complex) / m).reshape(-1), 0, unstored))
+        # the row and the column axis of each position in the outer product,
+        # where a part's axes, in its block layout, follow the parts before it
+        rows, cols = [], []
+        for _, front, named in parts:
+            b, offset = len(named), 2 * len(rows)
+            part_rows, part_cols = _block_axes(front, b, range(b))
+            rows += [offset + r for r in part_rows]
+            cols += [offset + c for c in part_cols]
+        rest = tuple(q for q in labels if q not in support)
+        where = {q: p for p, q in enumerate(labels)}
+        pos = [where[q] for q in (*support, *rest)]
+        rows, cols = [rows[p] for p in pos], [cols[p] for p in pos]
+        axes = rows[:k] + cols[:k] + rows[k:] + cols[k:]
+        register = functools.reduce(np.multiply.outer, [
+            register for register, _, _ in parts] or [np.ones(1, dtype=complex)])
         if axes != list(range(2 * a)):
-            register = register.reshape((2,) * (2 * a)).transpose(axes).reshape(-1)
-        rest = 2 ** (a - s)
-        return (others, register.reshape(2 ** s, 2 ** s, rest, rest), labels[s:],
-                [i for i, q in enumerate(support) if q not in where],
-                [i for i, q in enumerate(support) if q in where])
+            register = register.reshape((2,) * (2 * a)).transpose(axes)
+        side = 2 ** (a - k)
+        return others, register.reshape(2 ** k, 2 ** k, side, side), rest
 
     def expectation(self, spec: ProjectorSpec) -> float:
         p = np.einsum("ij,ji->", spec.materialize(), self.reduced(spec.support))
@@ -354,36 +339,28 @@ class DensityState:
         """
         mat = spec.materialize()
         support, dim = spec.support, mat.shape[0]
-        others, x, rest, unstored, stored = self._arrange(support)
+        others, x, rest = self._arrange(support)
         reduced = np.einsum("ijaa->ij", x)
-        da, m = reduced.shape[0], dim // reduced.shape[0]
         labels = support + rest
-        # op as (row, unstored column bits, stored column bits): an unstored
-        # support qubit is folded in as its I/2 factor
-        cols = [0] + [1 + i for i in unstored + stored]
         branches = []
         for violated, op in ((1, mat), (0, np.eye(dim) - mat)):
-            v = op.reshape((dim,) + (2,) * len(support)).transpose(cols) \
-                .reshape(dim, m, da)
-            # tr(op rho op^†) with rho_S = reduced ⊗ I/m, the trace of the
-            # branch built below, not expectation's tr(op rho): the two agree
-            # only up to rounding, which a weight near BRANCH_PRUNE would
-            # magnify in its branch
-            p = _clamp01(float(np.real(np.vdot(v, v @ reduced))) / m)
+            # tr(op rho op^†), the trace of the branch built below, not
+            # expectation's tr(op rho): the two agree only up to rounding,
+            # which a weight near BRANCH_PRUNE would magnify in its branch
+            p = _clamp01(float(np.real(np.vdot(op, op @ reduced))))
             if p < BRANCH_PRUNE:
                 continue
             if dim <= 4:
-                # (op/p ⊗ op*), summed against I/m, on the (front row, front
-                # column) pair
-                sup = np.einsum("ima,jmb->ijab", v / (m * p), v.conj())
-                post = sup.reshape(dim * dim, da * da) @ x.reshape(da * da, -1)
+                # (op/p ⊗ op*) on the (front row, front column) pair, as a
+                # GEMM outer product: a broadcast one takes more scratch
+                sup = ((op / p).reshape(-1, 1) @ op.conj().reshape(1, -1)) \
+                    .reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
+                post = sup.reshape(dim * dim, -1) @ x.reshape(dim * dim, -1)
             else:
-                # op on the front rows, then op*/(m p) on the front columns
-                # and the unstored bits: the superoperator would cost
-                # 2^(k-1) times the multiply-adds
-                rows = v.reshape(dim * m, da) @ x.reshape(da, -1)
-                post = np.matmul(v.reshape(dim, m * da).conj() / (m * p),
-                                 rows.reshape(dim, m * da, -1))
+                # op on the front rows, then op*/p on the front columns: the
+                # superoperator would cost 2^(k-1) times the multiply-adds
+                rows = op @ x.reshape(dim, -1)
+                post = np.matmul(op.conj() / p, rows.reshape(dim, dim, -1))
             state = object.__new__(DensityState)
             state.d, state.stock, state.stock_used = self.d, self.stock, self.stock_used
             state._factors = others + ((post.reshape(-1), len(support), labels),)
@@ -401,7 +378,7 @@ class DensityState:
             self.stock_used += k
             self.swap_qubits([(q, first + i) for i, q in enumerate(support)])
             return
-        others, x, rest, _, _ = self._arrange(support)
+        others, x, rest = self._arrange(support)
         self._factors = others
         if rest:
             self._factors += ((np.einsum("iiab->ab", x).reshape(-1), 0, rest),)
@@ -419,19 +396,10 @@ class DensityState:
     def reduced(self, support) -> np.ndarray:
         """Reduced density matrix on the given qubits (in the given order);
         an unstored one enters the result as I/2 and stays unstored."""
-        _, x, _, unstored, stored = self._arrange(support)
+        _, x, _ = self._arrange(support)
         # with no other qubit in the factor the front block is the matrix
-        reduced = x.reshape(x.shape[:2]) if x.shape[2] == 1 \
+        return x.reshape(x.shape[:2]) if x.shape[2] == 1 \
             else np.einsum("ijaa->ij", x)
-        k, u = len(support), len(unstored)
-        if u == 0:
-            return reduced
-        # reduced ⊗ I/2^u has the axes: stored rows, stored columns, then
-        # unstored rows and columns; one transpose puts them in support order
-        folded = np.multiply.outer(reduced, np.eye(2 ** u) / 2 ** u)
-        axes = stored + [k + i for i in stored] + unstored + [k + i for i in unstored]
-        folded = np.moveaxis(folded.reshape((2,) * (2 * k)), range(2 * k), axes)
-        return folded.reshape(2 ** k, 2 ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "threshold", "failure-bound"])
     ver.add_argument("--n", type=positive_int, default=2)
     ver.add_argument("--k", type=positive_int, default=2)
-    ver.add_argument("--m", type=int, default=2)
+    ver.add_argument("--m", type=positive_int, default=2)
     ver.add_argument("--g", type=positive_int, default=2)
     ver.add_argument("--r", "--rank", dest="rank", type=positive_int, default=1)
     ver.add_argument("--T", type=positive_int, default=None,

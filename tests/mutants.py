@@ -51,8 +51,9 @@ MUTANTS = [
     # conjugate of the true walk, so every Born weight and energy agrees.
     ("trajectory GEMM with the transpose", "src/qlll/backends.py",
      "out = mat @ block", "out = mat.T @ block", False),
-    ("density merge without the interleaving transpose", "src/qlll/backends.py",
-     ".transpose(interleave)", "", False),
+    ("density step factor without the parts' axis offsets",
+     "src/qlll/backends.py", "b, offset = len(named), 2 * len(rows)",
+     "b, offset = len(named), 0", False),
     ("density branch keeps the parent's pre-measurement factor",
      "src/qlll/backends.py", "state._factors = others + (",
      "state._factors = self._factors + (", False),
@@ -64,13 +65,17 @@ MUTANTS = [
      "self._fresh = fresh = fresh + block", False),
     # killed by test_dimension_cap: 9 fresh qubits would count as none
     ("density cap without the unstored support qubits", "src/qlll/backends.py",
-     "+ sum(q not in owner for q in support)", "+ 0", False),
-    # killed by test_spanning_support_merges_factors: a read must leave the
-    # factors as they were
+     "        if a > DENSITY_CAP:", "        if a - len(unstored) > DENSITY_CAP:",
+     False),
+    ("unstored support qubits joined as I, not I/m", "src/qlll/backends.py",
+     "(np.eye(m, dtype=complex) / m)", "np.eye(m, dtype=complex)", False),
+    # killed by TestFactors (test_branch_shares_unmeasured_factors first): a
+    # read must leave the factors as they were
     ("density read stores its arranged factor", "src/qlll/backends.py",
-     "        rest = 2 ** (a - s)\n",
-     "        if hit:\n            self._factors = others + ((register, s, labels),)\n"
-     "        rest = 2 ** (a - s)\n", False),
+     "        side = 2 ** (a - k)\n",
+     "        if hit:\n            self._factors = others + (\n"
+     "                (register.reshape(-1), k, (*support, *rest)),)\n"
+     "        side = 2 ** (a - k)\n", False),
     # numpy divides a complex number by n + 0j as (re + im*0) * (1/n)
     ("trajectory renormalisation by division", "src/qlll/backends.py",
      "self.psi *= 1.0 / norm", "self.psi /= norm", True),
@@ -89,7 +94,10 @@ def verdict(file: str, old: str, new: str) -> str:
     """Run the suite, stopping at the first failure, on a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="qlll-mutant-") as tmp:
         tree = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        # test_mutants checks this table against the unmutated tree, which a
+        # mutated copy differs from by construction
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                        "test_mutants.py")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)

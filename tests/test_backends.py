@@ -597,15 +597,21 @@ class TestMeasureStep:
         support = tuple(int(q) for q in rng.permutation(d)[:k])
         spec = ProjectorSpec(support, random_body(rng, k, explicit))
         mat = spec.materialize()
-        branches = DensityState(d, rho=rho).measure_branches(spec)
-        assert [out.violated for out, _ in branches] == [1, 0]
-        for (out, post), op in zip(branches, (mat, np.eye(2 ** k) - mat)):
-            full = embed(op, support, d)
-            want = full @ rho @ full.conj().T
-            p = float(np.real(np.trace(want)))
-            assert out.probability == pytest.approx(p, abs=1e-12)
-            np.testing.assert_allclose(post.rho, want / p, rtol=0, atol=1e-12)
-            assert abs(np.trace(post.rho) - 1) < 1e-13
+        # every support qubit stored, then support[::2] traced out at stock
+        # 0: unstored support qubits interleaved with stored ones
+        interleaved = DensityState(d, rho=rho)
+        interleaved.replace_qubits(support[::2])
+        for state, ref in ((DensityState(d, rho=rho), rho),
+                           (interleaved, depolarize(rho, support[::2], d))):
+            branches = state.measure_branches(spec)
+            assert [out.violated for out, _ in branches] == [1, 0]
+            for (out, post), op in zip(branches, (mat, np.eye(2 ** k) - mat)):
+                full = embed(op, support, d)
+                want = full @ ref @ full.conj().T
+                p = float(np.real(np.trace(want)))
+                assert out.probability == pytest.approx(p, abs=1e-12)
+                np.testing.assert_allclose(post.rho, want / p, rtol=0, atol=1e-12)
+                assert abs(np.trace(post.rho) - 1) < 1e-13
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_repeated_violation_keeps_one_branch(self, k):
