@@ -18,17 +18,17 @@ Tensor convention: an n-qubit pure state is stored as an ndarray of shape
 factors: disjoint trace-1 registers, each on qubits that measurements have
 joined (DensityState(d, rho) starts with one on all d), times an implicit
 maximally mixed factor I/2 on every other qubit, which is never stored.
-DENSITY_CAP bounds the qubits of one factor, not d.  Each factor sits in a
-labelled block layout (see DensityState).  A measurement, a read and an
-out-of-stock replacement each build one step factor and touch no other:
-the factors holding the support's stored qubits times I/m on its m
-unstored ones, with the support at the front.  A read stores nothing, so
-the factors are those FIX's measurements built; only `rho`, the plain
-matrix (row axes first, qubit 0 most significant), caches itself as the
-only factor.  A density measurement weighs its branches on the reduced
-state of the support and builds each kept one with a single matrix
-product for supports of at most 2 qubits (two for larger ones), sharing
-the other factors with its parent.
+DENSITY_CAP bounds the qubits of one factor, not d.  Each factor is a
+plain density matrix on the qubits its labels name (see DensityState).  A
+measurement, a read and an out-of-stock replacement each build one step
+factor and touch no other: the factors holding the support's stored
+qubits times I/m on its m unstored ones, with the support at the front.  A
+read stores nothing, so the factors are those FIX's measurements built;
+only `rho`, the plain matrix (qubit 0 most significant), caches itself as
+the only factor.  A density measurement weighs its branches on the
+reduced state of the support and builds each kept one as op on the
+support's rows, then op*/p on its columns, sharing the other factors with
+its parent.
 Bit 0 of a local operator's index is its support[0] qubit (most
 significant), matching the instance module.
 
@@ -205,54 +205,40 @@ class TrajectoryState:
 # ---------------------------------------------------------------------------
 # density backend
 
-def _block_axes(front: int, a: int, positions):
-    """The row and the column axis of each position of a block layout of a
-    positions whose first `front` form the front block."""
-    rows = [p if p < front else front + p for p in positions]
-    cols = [front + p if p < front else a + p for p in positions]
-    return rows, cols
-
-
 class DensityState:
     """Exact density operator on d labeled qubits, the last `stock` of which
     are fresh maximally mixed stock qubits.
 
     The state is a tensor product of factors times I/2^u: `_factors` holds
-    disjoint trace-1 registers, each a (register, front, labels) triple on
-    the qubits it names, and the u qubits no factor names are an implicit
-    maximally mixed factor, never stored.  A qubit is stored once FIX has
-    measured it and until its replacement traces it out; a measurement puts
-    its whole support into one factor, so factors form from what FIX
-    measures and, as FIX never measures across connected components, never
-    span two.  DensityState(d) starts with no factor, for any d,
-    DensityState(d, rho) with one factor on all d qubits.  A register is a
-    flat array of 4^a entries for its a qubits in a labelled block layout:
-    its 2a binary axes are the rows of the front k positions, their
-    columns, then the rows and the columns of the other a - k positions,
-    and labels[p] names the qubit at position p.
+    disjoint trace-1 factors, each a (matrix, labels) pair, and the u qubits
+    no factor names are an implicit maximally mixed factor, never stored.  A
+    qubit is stored once FIX has measured it and until its replacement
+    traces it out; a measurement puts its whole support into one factor, so
+    factors form from what FIX measures and, as FIX never measures across
+    connected components, never span two.  DensityState(d) starts with no
+    factor, for any d, DensityState(d, rho) with one factor on all d qubits.
+    A factor's matrix is its plain density matrix on its labels, labels[0]
+    most significant: an array of 4^b entries for its b qubits whose C-order
+    index reads the rows, then the columns, which may be a strided view.
 
     A measurement, a reduced state, an expectation and an out-of-stock
     replacement each work on one step factor, which `_arrange` builds and
     nothing stores: the factors holding the support's stored qubits and I/m
-    on its m unstored ones, joined as one outer product and brought, support
-    first and in order, to the front by one transpose (skipped when nothing
-    moves).  DENSITY_CAP bounds that factor's qubits, checked before
-    anything is allocated.  A reduced state, and so an expectation, is its
-    front block or that block's partial trace; a replacement traces the
-    support out of it.  A measurement reads both Born weights from the
-    reduced state of the support and drops a branch below BRANCH_PRUNE
-    before building anything.  Each kept branch replaces the step factor's
-    parts by one factor holding the whole support at the front, built
-    normalised with 1/p folded into a small operator, and shares every other
-    factor with its parent by reference (no register is ever written in
-    place): for k <= 2 it is one product of the superoperator (op/p ⊗ op*)
-    on the (front row, front column) index pair with the factor; for larger
-    k, where that superoperator would cost 2^(k-1) times the multiply-adds,
-    it is op on the front rows, then op*/p on the front columns.  `rho` is
-    the reduced state on qubits 0..d-1, the plain matrix, and the one read
-    that stores: it caches the matrix as the only factor (all d qubits,
-    k = 0, labels 0..d-1), built once rather than at each read.  Assigning
-    `rho` resets the layout.
+    on its m unstored ones, joined as one outer product with the support,
+    in order, brought to the front by one transpose.  DENSITY_CAP bounds
+    that factor's qubits, checked before anything is allocated.  A reduced
+    state, and so an expectation, is its front block or that block's
+    partial trace; a replacement traces the support out of it.  A
+    measurement reads both Born weights from the reduced state of the
+    support and drops a branch below BRANCH_PRUNE before building anything.
+    Each kept branch replaces the step factor's parts by one factor on the
+    support and then the step factor's other qubits, op on the support's
+    rows, then op*/p on its columns, stored as a view of that product, and
+    shares every other factor with its parent by reference (no factor is
+    ever written in place).  `rho` is the reduced state on qubits 0..d-1,
+    the plain matrix, and the one read that stores: it caches the matrix as
+    the only factor (all d qubits, labels 0..d-1), built once rather than
+    at each read.  Assigning `rho` sets that factor.
 
     replace_qubits(support) swaps the support into the next unused stock
     qubits while enough are left, which only relabels (an active qubit
@@ -278,27 +264,26 @@ class DensityState:
         """The plain 2^d x 2^d matrix, qubit 0 most significant, cached as
         the only factor (see the class docstring); raises above the cap."""
         self.rho = self.reduced(range(self.d))
-        return self._factors[0][0].reshape(2 ** self.d, 2 ** self.d)
+        return self._factors[0][0]
 
     @rho.setter
     def rho(self, value) -> None:
-        register = np.asarray(value, dtype=complex).reshape(-1)
-        self._factors = ((register, 0, tuple(range(self.d))),)
+        matrix = np.asarray(value, dtype=complex).reshape(2 ** self.d, 2 ** self.d)
+        self._factors = ((matrix, tuple(range(self.d))),)
 
     def _arrange(self, support):
         """The factor a step on the support builds, storing nothing: the
         outer product of the factors holding the support's stored qubits and
         of I/m on its m unstored ones, with the support, in order, brought to
-        the front by one transpose (skipped when nothing moves); first raise
-        DimensionTooLarge when that factor's qubits exceed DENSITY_CAP.
-        Returns the other factors, the factor as a (2^k, 2^k, 2^(a-k),
-        2^(a-k)) array for the k support qubits out of its a, and the labels
-        of its a - k other positions."""
-        owner = {q: i for i, factor in enumerate(self._factors) for q in factor[2]}
+        the front by one transpose; first raise DimensionTooLarge when that
+        factor's qubits exceed DENSITY_CAP.  Returns the other factors, the
+        factor as a (2^k, 2^k, 2^(a-k), 2^(a-k)) array for the k support
+        qubits out of its a, and the labels of its a - k other qubits."""
+        owner = {q: i for i, (_, named) in enumerate(self._factors) for q in named}
         hit = {owner[q] for q in support if q in owner}
         unstored = tuple(q for q in support if q not in owner)
         parts = [f for i, f in enumerate(self._factors) if i in hit]
-        labels = tuple(q for _, _, named in parts for q in named) + unstored
+        labels = tuple(q for _, named in parts for q in named) + unstored
         a, k = len(labels), len(support)
         if a > DENSITY_CAP:
             raise DimensionTooLarge(f"a density factor of {a} qubits exceeds "
@@ -306,24 +291,24 @@ class DensityState:
         others = tuple(f for i, f in enumerate(self._factors) if i not in hit)
         if unstored:
             m = 2 ** len(unstored)
-            parts.append(((np.eye(m, dtype=complex) / m).reshape(-1), 0, unstored))
-        # the row and the column axis of each position in the outer product,
-        # where a part's axes, in its block layout, follow the parts before it
+            parts.append((np.eye(m, dtype=complex) / m, unstored))
+        # the row and the column axis of each qubit in the outer product,
+        # where a part's row axes, then its column axes, follow the parts
+        # before it
         rows, cols = [], []
-        for _, front, named in parts:
+        for _, named in parts:
             b, offset = len(named), 2 * len(rows)
-            part_rows, part_cols = _block_axes(front, b, range(b))
-            rows += [offset + r for r in part_rows]
-            cols += [offset + c for c in part_cols]
+            rows += range(offset, offset + b)
+            cols += range(offset + b, offset + 2 * b)
         rest = tuple(q for q in labels if q not in support)
         where = {q: p for p, q in enumerate(labels)}
         pos = [where[q] for q in (*support, *rest)]
         rows, cols = [rows[p] for p in pos], [cols[p] for p in pos]
-        axes = rows[:k] + cols[:k] + rows[k:] + cols[k:]
+        # reshaping a part to binary axes only splits its axes: never a copy
         register = functools.reduce(np.multiply.outer, [
-            register for register, _, _ in parts] or [np.ones(1, dtype=complex)])
-        if axes != list(range(2 * a)):
-            register = register.reshape((2,) * (2 * a)).transpose(axes)
+            matrix.reshape((2,) * (2 * len(named))) for matrix, named in parts]
+            or [np.ones((), dtype=complex)])
+        register = register.transpose(rows[:k] + cols[:k] + rows[k:] + cols[k:])
         side = 2 ** (a - k)
         return others, register.reshape(2 ** k, 2 ** k, side, side), rest
 
@@ -350,20 +335,14 @@ class DensityState:
             p = _clamp01(float(np.real(np.vdot(op, op @ reduced))))
             if p < BRANCH_PRUNE:
                 continue
-            if dim <= 4:
-                # (op/p ⊗ op*) on the (front row, front column) pair, as a
-                # GEMM outer product: a broadcast one takes more scratch
-                sup = ((op / p).reshape(-1, 1) @ op.conj().reshape(1, -1)) \
-                    .reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-                post = sup.reshape(dim * dim, -1) @ x.reshape(dim * dim, -1)
-            else:
-                # op on the front rows, then op*/p on the front columns: the
-                # superoperator would cost 2^(k-1) times the multiply-adds
-                rows = op @ x.reshape(dim, -1)
-                post = np.matmul(op.conj() / p, rows.reshape(dim, dim, -1))
+            rows = op @ x.reshape(dim, -1)
+            post = np.matmul(op.conj() / p, rows.reshape(dim, dim, -1))
             state = object.__new__(DensityState)
             state.d, state.stock, state.stock_used = self.d, self.stock, self.stock_used
-            state._factors = others + ((post.reshape(-1), len(support), labels),)
+            # (support rows, support columns, other rows, other columns)
+            # viewed as rows, then columns
+            state._factors = others + (
+                (post.reshape(x.shape).transpose(0, 2, 1, 3), labels),)
             branches.append((Outcome(violated=violated, probability=p), state))
         return branches
 
@@ -381,7 +360,7 @@ class DensityState:
         others, x, rest = self._arrange(support)
         self._factors = others
         if rest:
-            self._factors += ((np.einsum("iiab->ab", x).reshape(-1), 0, rest),)
+            self._factors += ((np.einsum("iiab->ab", x), rest),)
 
     def swap_qubits(self, pairs) -> None:
         """Exchange qubit labels; pairs is a list of (a, b), applied in order."""
@@ -390,8 +369,8 @@ class DensityState:
             perm[a], perm[b] = perm[b], perm[a]
         # qubit q now holds what qubit perm[q] held
         renamed = {old: q for q, old in enumerate(perm)}
-        self._factors = tuple((register, front, tuple(renamed[q] for q in labels))
-                              for register, front, labels in self._factors)
+        self._factors = tuple((matrix, tuple(renamed[q] for q in labels))
+                              for matrix, labels in self._factors)
 
     def reduced(self, support) -> np.ndarray:
         """Reduced density matrix on the given qubits (in the given order);

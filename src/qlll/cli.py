@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="neighborhood cap")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--delta", type=open_unit_float, default=0.25)
-    gen.add_argument("--threshold", type=int, default=None,
+    gen.add_argument("--threshold", type=positive_int, default=None,
                      help="accept instances that fail the local-lemma condition")
     gen.add_argument("-o", "--output", default="instance.json")
     gen.set_defaults(func=cmd_gen)

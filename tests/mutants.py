@@ -68,14 +68,20 @@ MUTANTS = [
      "        if a > DENSITY_CAP:", "        if a - len(unstored) > DENSITY_CAP:",
      False),
     ("unstored support qubits joined as I, not I/m", "src/qlll/backends.py",
-     "(np.eye(m, dtype=complex) / m)", "np.eye(m, dtype=complex)", False),
+     "np.eye(m, dtype=complex) / m,", "np.eye(m, dtype=complex),", False),
     # killed by TestFactors (test_branch_shares_unmeasured_factors first): a
     # read must leave the factors as they were
     ("density read stores its arranged factor", "src/qlll/backends.py",
      "        side = 2 ** (a - k)\n",
-     "        if hit:\n            self._factors = others + (\n"
-     "                (register.reshape(-1), k, (*support, *rest)),)\n"
+     "        if hit:\n            self._factors = others + ((np.moveaxis(\n"
+     "                register, range(k, 2 * k), range(a, a + k)),\n"
+     "                (*support, *rest)),)\n"
      "        side = 2 ** (a - k)\n", False),
+    ("kept branch stored without the (0, 2, 1, 3) interleave",
+     "src/qlll/backends.py", "post.reshape(x.shape).transpose(0, 2, 1, 3)",
+     "post.reshape(x.shape)", False),
+    ("branch columns multiplied by op, not op.conj()", "src/qlll/backends.py",
+     "np.matmul(op.conj() / p,", "np.matmul(op / p,", False),
     # numpy divides a complex number by n + 0j as (re + im*0) * (1/n)
     ("trajectory renormalisation by division", "src/qlll/backends.py",
      "self.psi *= 1.0 / norm", "self.psi /= norm", True),

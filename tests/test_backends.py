@@ -90,7 +90,7 @@ class TestInitFullyMixed:
         state = DensityState(9)
         for support in ((0, 1, 2, 3), (4, 5, 6, 7, 8)):
             (_, state), _ = state.measure_branches(diag(support, "0" * len(support)))
-        assert sorted(len(labels) for _, _, labels in state._factors) == [4, 5]
+        assert sorted(len(labels) for _, labels in state._factors) == [4, 5]
         # a measurement whose factor would hold 9 qubits: two merged
         # factors, or 9 fresh qubits
         for measured, spec in ((state, diag((3, 4), "00")),
@@ -367,8 +367,9 @@ def register_walks(draw):
 
 def follow_walk(state, ref, d, stock, rng, steps):
     """Run a register walk on `state` and on its dense reference `ref`,
-    checking every branch probability, reduced(), expectation() and rho to
-    1e-12 along the way."""
+    checking every branch probability, reduced(), expectation() and rho,
+    and after every step each stored factor's plain matrix, to 1e-12 along
+    the way."""
     used = 0
     for step in steps:
         kind = step[0]
@@ -416,11 +417,18 @@ def follow_walk(state, ref, d, stock, rng, steps):
         spec = ProjectorSpec(probe, random_body(rng, len(probe), True))
         want = float(np.real(np.trace(embed(spec.materialize(), probe, d) @ ref)))
         assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
+        # a factor is the reduced state on its labels, rows then columns
+        for matrix, labels in state._factors:
+            side = 2 ** len(labels)
+            np.testing.assert_allclose(matrix.reshape(side, side),
+                                       partial_trace(ref, labels, d),
+                                       rtol=0, atol=1e-12)
     np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
 
 
 class TestLayout:
-    """The labelled block layout against the dense reference."""
+    """Every factor, a plain matrix on its labels, and every read against
+    the dense reference."""
 
     @given(register_walks())
     @settings(max_examples=100, deadline=None)
@@ -463,7 +471,7 @@ class TestLaziness:
         state = DensityState(8, rho=random_density(8, seed=5))
         state.replace_qubits((6, 7))
         factors = state._factors
-        (register, _, labels), = factors
+        (register, labels), = factors
         assert register.size == 4 ** 6 and sorted(labels) == list(range(6))
         spec = ProjectorSpec((7, 6), random_body(np.random.default_rng(5), 2, True))
         spec.materialize()
@@ -477,7 +485,7 @@ class TestLaziness:
         finally:
             tracemalloc.stop()
         assert len(state._factors) == len(factors)
-        for (now, _, now_labels), (then, _, then_labels) in zip(state._factors, factors):
+        for (now, now_labels), (then, then_labels) in zip(state._factors, factors):
             assert now is then and now_labels == then_labels
         assert peak < 16 * 4 ** 8 // 4
 
@@ -503,7 +511,7 @@ class TestFactors:
 
     @staticmethod
     def stored(state):
-        return sorted(sorted(labels) for _, _, labels in state._factors)
+        return sorted(sorted(labels) for _, labels in state._factors)
 
     def test_disjoint_measurements_keep_two_small_factors(self):
         # four leaves each holding one register on the 4 measured qubits
@@ -524,7 +532,7 @@ class TestFactors:
         assert len(states) == 4
         for state in states:
             assert self.stored(state) == [[0, 1], [4, 5]]
-            assert [register.size for register, _, _ in state._factors] == [16, 16]
+            assert [register.size for register, _ in state._factors] == [16, 16]
         assert peak < 4 * 16 * 4 ** 4
 
     def test_branch_shares_unmeasured_factors(self):
@@ -538,12 +546,12 @@ class TestFactors:
         for seed, (support, touched) in enumerate(
                 (((3,), 1), ((1, 0), 1), ((3, 0), 2), ((4,), 0))):
             before = [(register, register.copy(), labels)
-                      for register, _, labels in state._factors]
+                      for register, labels in state._factors]
             for pick in (0, 1):
                 branch, _ = self.measure(state, ref, d, support, seed, pick)
-                labels = [q for _, _, named in branch._factors for q in named]
+                labels = [q for _, named in branch._factors for q in named]
                 assert len(labels) == len(set(labels))
-                shared = [(register, named) for register, _, named in branch._factors
+                shared = [(register, named) for register, named in branch._factors
                           if not set(named) & set(support)]
                 assert len(shared) == len(before) - touched
                 for register, named in shared:
@@ -575,18 +583,16 @@ class TestFactors:
             want = np.trace(embed(spec.materialize(), probe, d) @ ref).real
             assert state.expectation(spec) == pytest.approx(want, abs=1e-12)
         assert len(state._factors) == len(factors)
-        for (now, front, labels), (then, then_front, then_labels) in zip(
-                state._factors, factors):
-            assert now is then and (front, labels) == (then_front, then_labels)
+        for (now, labels), (then, then_labels) in zip(state._factors, factors):
+            assert now is then and labels == then_labels
         # rho, the one read that stores, caches the plain matrix
         np.testing.assert_allclose(state.rho, ref, rtol=0, atol=1e-12)
         assert self.stored(state) == [[0, 1, 2, 3, 4, 5]]
 
 
 class TestMeasureStep:
-    """measure_branches against the dense reference on both of its paths:
-    one superoperator product for supports of 1 and 2 qubits, two products
-    for 3 and 4."""
+    """measure_branches against the dense reference for supports of 1 to 4
+    qubits: op on the support's rows, then op*/p on its columns."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("explicit", [True, False])
@@ -706,7 +712,8 @@ class TestTrajectoryKernel:
 
 def measured(seed):
     """A 4-qubit state after one measurement on an unsorted support, so its
-    register is not in the plain layout, and the next projector to measure."""
+    factor's labels are out of qubit order and its matrix is a strided view,
+    and the next projector to measure."""
     rng = np.random.default_rng(seed)
     state = DensityState(4, rho=random_density(4, seed))
     first = ProjectorSpec((2, 0), random_body(rng, 2, True))

@@ -239,11 +239,13 @@ def test_verify_needs_a_tree(capsys, check, count):
     (["verify", "counts", "--random", "1", "--k", "0"], "--k"),
     (["verify", "entropy", "--random", "1", "--m", "-1"], "--m"),
     (["verify", "counts", "--random", "1", "--m", "0"], "--m"),
+    (["gen", "--classical", "--threshold", "0"], "--threshold"),
 ], ids=["run-delta-above", "run-delta-zero", "run-delta-nan", "gen-delta",
         "threshold-delta", "failure-bound-delta", "run-threshold",
         "failure-bound-T", "entropy-T", "counts-T", "gen-g", "gen-m",
         "threshold-g", "threshold-r", "threshold-m-span", "binom-g-min",
-        "gen-n", "gen-k", "entropy-n", "counts-k", "entropy-m", "counts-m"])
+        "gen-n", "gen-k", "entropy-n", "counts-k", "entropy-m", "counts-m",
+        "gen-threshold"])
 def test_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, argv, option):
     # refused at parse time with exit 2 and one error line: exit 1 is
     # reserved for a failed check, T = 0 must not run as the default, and
