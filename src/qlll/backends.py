@@ -13,31 +13,39 @@ docstring), every other state re-mixes the support in place.
 expectation(spec) reads <P> without measuring, for the final check and the
 monotonicity probe.
 
-Tensor convention: an n-qubit pure state is stored as an ndarray of shape
-(2,)*n with axis q belonging to qubit q.  A density state is a product of
+Tensor convention: both quantum states are products of factors, and
+TRAJECTORY_CAP and DENSITY_CAP each bound the qubits of one factor, not n
+or d.  A trajectory state's factors are disjoint pure tensors, each of
+shape (2,)*b with axis i belonging to the i-th qubit its labels name, and
+a qubit no factor names is the computational basis state of its bit,
+never stored; its `psi`, assembled at each read, is the plain (2,)*n
+tensor with axis q belonging to qubit q.  A density state is a product of
 factors: disjoint trace-1 registers, each on qubits that measurements have
 joined (DensityState(d, rho) starts with one on all d), times an implicit
 maximally mixed factor I/2 on every other qubit, which is never stored.
-DENSITY_CAP bounds the qubits of one factor, not d.  Each factor is a
-plain density matrix on the qubits its labels name (see DensityState).  A
-measurement, a read and an out-of-stock replacement each build one step
-factor and touch no other: the factors holding the support's stored
-qubits times I/m on its m unstored ones, with the support at the front.  A
-read stores nothing, so the factors are those FIX's measurements built;
-only `rho`, the plain matrix (qubit 0 most significant), caches itself as
-the only factor.  A density measurement weighs its branches on the
-reduced state of the support and builds each kept one as op on the
-support's rows, then op*/p on its columns, sharing the other factors with
-its parent.
+Each factor is a plain density matrix on the qubits its labels name (see
+DensityState).  A measurement, a read and an out-of-stock replacement
+each build one step factor and touch no other: the factors holding the
+support's stored qubits times I/m on its m unstored ones, with the
+support at the front.  A read stores nothing, so the factors are those
+FIX's measurements built; only `rho`, the plain matrix (qubit 0 most
+significant), caches itself as the only factor.  A density measurement
+weighs its branches on the reduced state of the support and builds each
+kept one as op on the support's rows, then op*/p on its columns, sharing
+the other factors with its parent.
 Bit 0 of a local operator's index is its support[0] qubit (most
 significant), matching the instance module.
 
-The trajectory kernel: a measurement is one GEMM on the support block, a
-(2^k, 2^(n-k)) copy of the state with the support's axes as rows, and takes
-its Born weight from that block and the product.  The collapsed state is a
-view of the product with the axes back in place, never made contiguous,
-since the norm sums in memory order and a state's last bits reach the
-serialised energies.
+The trajectory kernel: a measurement joins the factors holding its
+support, and the basis states of the support's unstored qubits, into one
+step factor of a qubits, and is one GEMM on its support block, a
+(2^k, 2^(a-k)) copy of that factor with the support's axes as rows; it
+takes its Born weight from that block and the product.  The collapsed
+factor is a view of the product with the axes back in place, never made
+contiguous, since the norm sums in memory order and a factor's last bits
+reach the serialised energies.  A replacement collapses each qubit in the
+computational basis, which splits it out of its factor, so factors form
+from what FIX measures and never span two connected components.
 
 The diagonal kernel draws its random bits in blocks: one generator call
 for the initial bits and the first 64 fresh ones, then one per further 64
@@ -115,14 +123,32 @@ def _apply_block(tensor: np.ndarray, mat: np.ndarray, axes):
     mat @ block, and the projected tensor, a view of the product with its
     axes back in place."""
     k = len(axes)
-    block = np.moveaxis(tensor, axes, range(k)).reshape(2 ** k, -1)
+    # np.moveaxis as one transpose each way, without its argument checks
+    order = [*axes, *(i for i in range(tensor.ndim) if i not in axes)]
+    back = [0] * len(order)
+    for i, axis in enumerate(order):
+        back[axis] = i
+    block = tensor.transpose(order).reshape(2 ** k, -1)
     out = mat @ block
-    return block, out, np.moveaxis(out.reshape(tensor.shape), range(k), axes)
+    return block, out, out.reshape(tensor.shape).transpose(back)
 
 
 def _apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     """Apply a k-qubit operator to the given tensor axes (in support order)."""
     return _apply_block(tensor, mat, axes)[2]
+
+
+def _normalize(tensor: np.ndarray) -> np.ndarray:
+    """Scale a tensor the caller owns to unit norm, in place."""
+    norm = np.linalg.norm(tensor)
+    if norm < 1e-12:
+        raise ZeroProbabilityBranch("state norm collapsed to zero")
+    tensor *= 1.0 / norm
+    return tensor
+
+
+_BASIS = np.eye(2, dtype=complex)   # row b is the basis vector |b>
+_BASIS.flags.writeable = False      # a step factor may be one of its rows
 
 
 class TrajectoryState:
@@ -132,47 +158,95 @@ class TrajectoryState:
     measures the discarded qubits and resamples them uniformly.  Both choices
     reproduce the density-matrix ensemble exactly (checked in the tests).
 
-    A measurement copies psi once into the support block, multiplies it by
-    P once, and reads p = <block|P block> from that pair.  The kept branch
-    is the product viewed back in psi's axes (or psi minus that view), and
-    renormalisation multiplies by 1/norm, which is how numpy divides a
-    complex array by a real norm anyway.  Layout rule: psi is never made
-    contiguous.  It stays the moved-axes view (the subtraction takes psi's
-    own layout), because np.linalg.norm sums in memory order and the
-    serialised energies carry rounding-level digits.  So every state equals
-    the plain tensordot form of the same steps bit for bit (checked in the
-    tests); only p, summed in block order, may differ in its last bits.
+    The state is a product of factors, by the density state's rule with a
+    basis state in place of I/2: `_factors` holds disjoint pure tensors, each
+    a (tensor, labels) pair whose axis i is qubit labels[i], and a qubit no
+    factor names is the basis state |_bits[q]>, never stored.  `_phase` is
+    the global phase of the factors replacement has emptied.  A measurement
+    and an expectation each work on one step factor, which `_join` builds:
+    the factors holding the support's qubits times the basis states of its
+    unstored ones, one outer product (none when one stored factor holds the
+    whole support).  TRAJECTORY_CAP bounds that factor's qubits, checked
+    before anything is allocated.  So factors form from what FIX measures
+    and never span two connected components.
+
+    A measurement copies the step factor once into the support block,
+    multiplies it by P once, and reads p = <block|P block> from that pair.
+    The kept branch is the product viewed back in the factor's axes (or the
+    factor minus that view), renormalised by 1/norm, which is how numpy
+    divides a complex array by a real norm anyway, and replaces the factors
+    it joined.  Layout rule, per factor: a factor is never made contiguous.
+    It stays the moved-axes view (the subtraction takes the factor's own
+    layout), because np.linalg.norm sums in memory order and the serialised
+    energies carry rounding-level digits.  So every factor equals the plain
+    tensordot form of the same steps bit for bit (checked in the tests);
+    only p, summed in block order, may differ in its last bits.
+    replace_qubits collapses each qubit in the computational basis, which
+    leaves it a product with the rest of its factor: the qubit is split out
+    and becomes unstored with its fresh bit.
+
+    `psi` is the plain (2,)*n tensor, axis q for qubit q, built at each read
+    (it raises above the cap before it allocates); assigning it makes one
+    factor on all n qubits.
     """
 
     def __init__(self, n: int, rng):
-        if n > TRAJECTORY_CAP:
-            raise DimensionTooLarge(
-                f"trajectory backend capped at {TRAJECTORY_CAP} qubits, got {n}")
         self.n = n
         self.rng = rng
-        bits = rng.integers(0, 2, size=n)
-        psi = np.zeros((2,) * n if n else (1,), dtype=complex)
-        psi[tuple(bits)] = 1.0
-        self.psi = psi
+        self._bits = rng.integers(0, 2, size=n).tolist()
+        self._factors = ()
+        self._phase = 1.0
 
-    def _renormalize(self):
-        norm = np.linalg.norm(self.psi)
-        if norm < 1e-12:
-            raise ZeroProbabilityBranch("state norm collapsed to zero")
-        self.psi *= 1.0 / norm
+    @property
+    def psi(self) -> np.ndarray:
+        _, tensor, labels = self._join(range(self.n))
+        return tensor.transpose(np.argsort(labels)) * self._phase
+
+    @psi.setter
+    def psi(self, value) -> None:
+        tensor = np.array(value, dtype=complex).reshape((2,) * self.n)
+        self._factors = ((tensor, tuple(range(self.n))),)
+        self._phase = 1.0
+
+    def _join(self, support):
+        """The factor a step on the support works on, storing nothing: the
+        outer product of the factors holding the support's qubits and of the
+        basis states of its unstored ones; first raise DimensionTooLarge
+        when that factor's qubits exceed TRAJECTORY_CAP.  Returns the other
+        factors, the factor and its labels."""
+        wanted, parts, others = set(support), [], []
+        for factor in self._factors:
+            (others if wanted.isdisjoint(factor[1]) else parts).append(factor)
+        stored = {q for _, named in parts for q in named}
+        unstored = tuple(q for q in support if q not in stored)
+        labels = tuple(q for _, named in parts for q in named) + unstored
+        if len(labels) > TRAJECTORY_CAP:
+            raise DimensionTooLarge(
+                f"a trajectory factor of {len(labels)} qubits exceeds the "
+                f"cap of {TRAJECTORY_CAP}")
+        if len(parts) == 1 and not unstored:
+            return tuple(others), parts[0][0], labels
+        arrays = [t for t, _ in parts] + [
+            _BASIS[self._bits[q]] for q in unstored]
+        tensor = functools.reduce(np.multiply.outer,
+                                  arrays or [np.ones((), dtype=complex)])
+        return tuple(others), tensor, labels
 
     def expectation(self, spec: ProjectorSpec) -> float:
-        proj = _apply_local(self.psi, spec.materialize(), spec.support)
-        return _clamp01(float(np.real(np.vdot(self.psi, proj))))
+        _, tensor, labels = self._join(spec.support)
+        axes = [labels.index(q) for q in spec.support]
+        proj = _apply_local(tensor, spec.materialize(), axes)
+        return _clamp01(float(np.real(np.vdot(tensor, proj))))
 
     def measure_projector(self, spec: ProjectorSpec) -> Outcome:
         """Born-rule measurement of {P, 1-P}; collapses the state in place."""
-        block, out, projected = _apply_block(self.psi, spec.materialize(),
-                                             spec.support)
+        others, tensor, labels = self._join(spec.support)
+        axes = [labels.index(q) for q in spec.support]
+        block, out, projected = _apply_block(tensor, spec.materialize(), axes)
         p = _clamp01(float(np.real(np.vdot(block, out))))
         violated = int(self.rng.random() < p)
-        self.psi = projected if violated else self.psi - projected
-        self._renormalize()
+        kept = projected if violated else tensor - projected
+        self._factors = others + ((_normalize(kept), labels),)
         return Outcome(violated=violated, probability=p if violated else 1.0 - p)
 
     def measure_branches(self, spec: ProjectorSpec):
@@ -181,17 +255,29 @@ class TrajectoryState:
 
     def replace_qubits(self, support) -> None:
         """Measure each support qubit in the computational basis (outcome
-        discarded), then overwrite it with a fresh uniform basis state."""
+        discarded), split it out of its factor and give it a fresh uniform
+        bit.  Each qubit takes one uniform draw for the collapse and one
+        for the fresh bit, an unstored one too (its collapse is certain)."""
         for q in support:
-            marginal = np.moveaxis(self.psi, q, 0)
-            p1 = _clamp01(float((np.abs(marginal[1]) ** 2).sum()
-                                / (np.abs(self.psi) ** 2).sum()))
-            observed = int(self.rng.random() < p1)
-            marginal[1 - observed] = 0  # a view: zeroes psi's other half
-            self._renormalize()
-            fresh = int(self.rng.integers(0, 2))
-            if fresh != observed:
-                self.psi = np.flip(self.psi, axis=q)
+            hit = [i for i, (_, named) in enumerate(self._factors) if q in named]
+            if not hit:
+                self.rng.random()   # a basis state's collapse is certain
+            else:
+                i, = hit
+                tensor, labels = self._factors[i]
+                axis = labels.index(q)
+                at = (slice(None),) * axis   # index q's axis with at + (b,)
+                p1 = _clamp01(float((np.abs(tensor[at + (1,)]) ** 2).sum()
+                                    / (np.abs(tensor) ** 2).sum()))
+                observed = int(self.rng.random() < p1)
+                # a view of the factor, which nothing else holds
+                rest = _normalize(tensor[at + (observed,)])
+                self._factors = self._factors[:i] + self._factors[i + 1:]
+                if rest.ndim:
+                    self._factors += ((rest, labels[:axis] + labels[axis + 1:]),)
+                else:  # the factor held q alone: keep its phase
+                    self._phase *= complex(rest)
+            self._bits[q] = int(self.rng.integers(0, 2))
 
     def bits(self):
         """Basis-state reading, defined only when the state is a basis state."""

@@ -42,7 +42,7 @@ def cmd_gen(args) -> int:
         # the condition, before any layout work
         cap_check = instances.check_qlll_condition(
             instances.InstanceParams(k=args.k, r=1, g=args.g, m=args.m))
-        if not cap_check.satisfied and args.threshold is None:
+        if args.m and not cap_check.satisfied and args.threshold is None:
             print(f"ConditionViolated: requested g={args.g} is not below "
                   f"2^k/(r e) for k={args.k} (margin {cap_check.margin:.4f}); "
                   "pass --threshold to generate anyway", file=sys.stderr)
@@ -50,7 +50,9 @@ def cmd_gen(args) -> int:
         instance = instances.generate_classical_instance(
             args.n, args.k, args.m, args.g, args.seed)
     check = _print_derived(instance)
-    if not check.satisfied and args.threshold is None:
+    # a clause-free instance has nothing to violate, whatever its derived
+    # k = g = 1 give
+    if instance.m and not check.satisfied and args.threshold is None:
         print(f"ConditionViolated: g={instance.params.g} is not below "
               f"2^k/(r e) (margin {check.margin:.4f}); pass --threshold to "
               "generate anyway", file=sys.stderr)

@@ -45,7 +45,7 @@ MUTANTS = [
     ("branch pruning at 1e-3", "src/qlll/backends.py",
      "BRANCH_PRUNE = 1e-12", "BRANCH_PRUNE = 1e-3", False),
     ("trajectory renormalisation by 1/norm^2", "src/qlll/backends.py",
-     "self.psi *= 1.0 / norm", "self.psi *= 1.0 / norm ** 2", False),
+     "tensor *= 1.0 / norm", "tensor *= 1.0 / norm ** 2", False),
     # Killed by the bit-for-bit kernel test alone: from a real basis state
     # the walk under the transpose, the conjugate of P, is the complex
     # conjugate of the true walk, so every Born weight and energy agrees.
@@ -84,7 +84,13 @@ MUTANTS = [
      "np.matmul(op.conj() / p,", "np.matmul(op / p,", False),
     # numpy divides a complex number by n + 0j as (re + im*0) * (1/n)
     ("trajectory renormalisation by division", "src/qlll/backends.py",
-     "self.psi *= 1.0 / norm", "self.psi /= norm", True),
+     "tensor *= 1.0 / norm", "tensor /= norm", True),
+    ("unstored support qubit joined as |0>, not |bits[q]>",
+     "src/qlll/backends.py", "_BASIS[self._bits[q]] for q in unstored",
+     "_BASIS[0] for q in unstored", False),
+    ("trajectory Born weight squared", "src/qlll/backends.py",
+     "violated = int(self.rng.random() < p)",
+     "violated = int(self.rng.random() < p * p)", False),
 ]
 
 

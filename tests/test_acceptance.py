@@ -76,6 +76,57 @@ def test_criterion_1_success_guarantee():
             f"over {trials} trials, all successes satisfied")
 
 
+BINOMIAL_ALPHA = 1e-3
+
+
+def _binomial_pmf(trials, p):
+    k = np.arange(trials + 1)
+    log_comb = np.array([math.lgamma(trials + 1) - math.lgamma(i + 1)
+                         - math.lgamma(trials - i + 1) for i in k])
+    return np.exp(log_comb + k * math.log(p) + (trials - k) * math.log1p(-p))
+
+
+def _two_sided_p(pmf, observed):
+    """Exact two-sided binomial p-value: the mass of the counts no likelier
+    than the observed one."""
+    return float(pmf[pmf <= pmf[observed] * (1 + 1e-7)].sum())
+
+
+def test_criterion_1_quantum_failure_rate():
+    """Criterion 1 on the trajectory backend: the rotated criterion-1
+    instance (n = 20, six components of 3 qubits) at T = 3.  The failures
+    of 2000 seeded trials against the exact Pr(F) of its density law, by an
+    exact two-sided binomial test at alpha = 1e-3, which rejects a failure
+    rate shifted by 0.05 either way with probability above 0.9; every
+    success satisfies every projector."""
+    inst = rotate_instance(generate_classical_instance(20, 3, 12, 2, seed=7),
+                           seed=11)
+    assert inst.n == 20 and not inst.is_diagonal()
+    threshold, trials = 3, 2000
+    law = enumerate_outcome_distribution(inst, threshold, backend="density")
+    rate = sum(p for bits, p in law.items() if sum(bits) == threshold)
+    assert rate == pytest.approx(0.27650, abs=5e-6)
+    pmf = _binomial_pmf(trials, rate)
+    rejected = np.array([_two_sided_p(pmf, k) <= BINOMIAL_ALPHA
+                         for k in range(trials + 1)])
+    for shifted in (rate - 0.05, rate + 0.05):
+        assert _binomial_pmf(trials, shifted)[rejected].sum() > 0.9
+    failures = 0
+    for trial in range(trials):
+        rec = run(inst, SolverConfig(seed=derive_trial_seed(7, trial),
+                                     backend="trajectory",
+                                     threshold_override=threshold))
+        if rec.result == "Failure":
+            failures += 1
+        else:
+            assert rec.max_energy <= 1e-8
+    p_value = _two_sided_p(pmf, failures)
+    assert p_value > BINOMIAL_ALPHA
+    _report(f"criterion 1 (quantum): {failures} failures in {trials} trials "
+            f"against {trials * rate:.1f} expected, two-sided p {p_value:.3f} "
+            f"> {BINOMIAL_ALPHA}")
+
+
 def test_criterion_2_analytic_failure_bound():
     """(k,g,r,delta,m) = (3,2,1,0.5,2): T = 72 and the analytic bound
     ~0.2036 <= delta, matching an independent 50-digit recomputation to

@@ -20,7 +20,9 @@ from qlll.backends import (
 )
 from qlll.errors import DimensionTooLarge, NotNormalized
 from qlll.instances import (Diagonal, Explicit, ProjectorSpec, Rotated,
-                            haar_unitary_2x2)
+                            generate_classical_instance, haar_unitary_2x2,
+                            rotate_instance)
+from qlll.solver import execute_fix_loop, neighborhood_orders
 
 
 def diag(support, *patterns):
@@ -83,8 +85,26 @@ class TestInitFullyMixed:
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            TrajectoryState(15, np.random.default_rng(0))
+        # the trajectory cap bounds one factor, not n: 15 qubits construct
+        # and measure while every factor stays within 14
+        traj = TrajectoryState(15, np.random.default_rng(0))
+        for support in (range(8), range(8, 15)):
+            traj.measure_projector(diag(support, "0" * len(support)))
+        assert sorted(len(labels) for _, labels in traj._factors) == [7, 8]
+        # a measurement that would merge both factors into 15 qubits, and
+        # psi on 15 qubits, raise before they allocate 16 * 2^15 bytes
+        merge = diag((7, 8), "00")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLarge, match="factor of 15 qubits"):
+                traj.measure_projector(merge)
+            with pytest.raises(DimensionTooLarge, match="factor of 15 qubits"):
+                traj.psi
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 15 // 64
+        assert sorted(len(labels) for _, labels in traj._factors) == [7, 8]
         # the density cap bounds one factor, not the register: 9 qubits
         # construct and measure while every factor stays within 8
         state = DensityState(9)
@@ -643,27 +663,42 @@ def tensordot_apply(tensor, mat, axes):
 
 class TensordotTrajectory(TrajectoryState):
     """TrajectoryState with the tensordot kernels it had before the support
-    block: the Born weight read against the whole state, renormalisation by
-    division.  An oracle for the states, to the last bit."""
+    block, on the factor each step works on: the Born weight read against
+    the whole factor, renormalisation by division.  An oracle for the
+    factors, to the last bit."""
 
-    def _renormalize(self):
-        self.psi /= np.linalg.norm(self.psi)
+    def _project(self, spec):
+        others, tensor, labels = self._join(spec.support)
+        axes = [labels.index(q) for q in spec.support]
+        projected = tensordot_apply(tensor, spec.materialize(), axes)
+        p = min(1.0, max(0.0, float(np.real(np.vdot(tensor, projected)))))
+        return others, tensor, labels, projected, p
 
     def expectation(self, spec):
-        proj = tensordot_apply(self.psi, spec.materialize(), spec.support)
-        return min(1.0, max(0.0, float(np.real(np.vdot(self.psi, proj)))))
+        return self._project(spec)[-1]
 
     def measure_projector(self, spec):
-        projected = tensordot_apply(self.psi, spec.materialize(), spec.support)
-        p = min(1.0, max(0.0, float(np.real(np.vdot(self.psi, projected)))))
+        others, tensor, labels, projected, p = self._project(spec)
         violated = int(self.rng.random() < p)
-        self.psi = projected if violated else self.psi - projected
-        self._renormalize()
+        kept = projected if violated else tensor - projected
+        kept /= np.linalg.norm(kept)
+        self._factors = others + ((kept, labels),)
         return Outcome(violated=violated, probability=p if violated else 1.0 - p)
 
 
+def assert_same_factors(state, ref):
+    """Equal factors on equal labels, bit for bit and in the same memory
+    layout, and equal unstored bits and phase."""
+    assert [labels for _, labels in state._factors] == \
+        [labels for _, labels in ref._factors]
+    for (tensor, _), (want, _) in zip(state._factors, ref._factors):
+        np.testing.assert_array_equal(tensor, want)
+        assert tensor.strides == want.strides
+    assert state._bits == ref._bits and state._phase == ref._phase
+
+
 class TestTrajectoryKernel:
-    """The support-block kernel keeps every state bit for bit, and in the
+    """The support-block kernel keeps every factor bit for bit, and in the
     same memory layout, since the norm sums in memory order and the golden
     runs store rounding-level energies."""
 
@@ -673,7 +708,7 @@ class TestTrajectoryKernel:
         rng = np.random.default_rng(seed)
         state = TrajectoryState(n, np.random.default_rng(seed))
         ref = TensordotTrajectory(n, np.random.default_rng(seed))
-        seen, unsorted, flipped = set(), False, False
+        seen, unsorted, joined, strided = set(), False, False, False
         for step in range(40):
             k = 1 + step % 4
             support = tuple(int(q) for q in rng.permutation(n)[:k])
@@ -684,19 +719,25 @@ class TestTrajectoryKernel:
             assert out.violated == want.violated
             assert out.probability == pytest.approx(want.probability, rel=0, abs=1e-14)
             seen.add(out.violated)
+            # the step factor held stored qubits beyond the support
+            joined |= len(state._factors[-1][1]) > k
+            strided |= any(not tensor.flags.c_contiguous
+                           for tensor, _ in state._factors)
+            assert_same_factors(state, ref)
             np.testing.assert_array_equal(state.psi, ref.psi)
-            assert state.psi.strides == ref.psi.strides
             assert state.expectation(spec) == ref.expectation(spec)
             if step % 3 == 2:
                 state.replace_qubits(support)
                 ref.replace_qubits(support)
-                flipped |= any(s < 0 for s in state.psi.strides)
+                # each replaced qubit is split out of its factor
+                assert not any(set(support) & set(labels)
+                               for _, labels in state._factors)
+                assert_same_factors(state, ref)
                 np.testing.assert_array_equal(state.psi, ref.psi)
-                assert state.psi.strides == ref.psi.strides
             for other in rng.permutation(n)[:3]:
                 probe = ProjectorSpec((int(other),), random_body(rng, 1, True))
                 assert state.expectation(probe) == ref.expectation(probe)
-        assert seen == {0, 1} and unsorted and flipped
+        assert seen == {0, 1} and unsorted and joined and strided
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_apply_local_matches_tensordot(self, k):
@@ -708,6 +749,46 @@ class TestTrajectoryKernel:
         got, want = _apply_local(psi, mat, axes), tensordot_apply(psi, mat, axes)
         np.testing.assert_array_equal(got, want)
         assert got.strides == want.strides
+
+
+def fix_walk(inst, seed, one_factor):
+    """A seeded FIX walk at threshold 2 on the trajectory state, or on one
+    factor on all n qubits: its leaf and psi at each FIX return and at the
+    end."""
+    rng = np.random.default_rng(seed)
+    orders = neighborhood_orders(inst, "random", rng)
+    state = TrajectoryState(inst.n, rng)
+    if one_factor:
+        state.psi = state.psi
+    leaves, snapshots = [], []
+    execute_fix_loop(inst, orders, 2, state, lambda *leaf: leaves.append(leaf),
+                     on_return=lambda j: snapshots.append((j, state.psi)))
+    (outcomes, _, _, t, result), = leaves
+    return (outcomes, t, result), snapshots + [(None, state.psi)], state
+
+
+class TestTrajectoryFactors:
+    def test_factored_walk_matches_one_factor(self):
+        # replacements split the one factor too, so the two states differ
+        # only in what measurements join: the same outcomes, and psi equal
+        # to rounding at every FIX return
+        results, largest, phased = set(), 0, False
+        for seed in range(8):
+            inst = rotate_instance(
+                generate_classical_instance(12, 3, 6, 2, seed=seed), seed=seed + 50)
+            leaf, snapshots, state = fix_walk(inst, seed, one_factor=False)
+            want_leaf, want_snapshots, _ = fix_walk(inst, seed, one_factor=True)
+            assert leaf == want_leaf
+            assert [j for j, _ in snapshots] == [j for j, _ in want_snapshots]
+            for (_, got), (_, want) in zip(snapshots, want_snapshots):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            results.add((leaf[2], sum(leaf[0]) > 0))
+            largest = max([largest] + [len(labels) for _, labels in state._factors])
+            phased |= state._phase != 1
+        # violations and replacements happened, aborts too, a replacement
+        # emptied a factor with a phase, and no factor grew to the instance
+        assert {("Success", True), ("Failure", True)} <= results
+        assert phased and largest < 12
 
 
 def measured(seed):

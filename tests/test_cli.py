@@ -32,6 +32,19 @@ def test_gen_refuses_bad_condition(tmp_path, capsys):
     assert "ConditionViolated" in capsys.readouterr().err
 
 
+def test_gen_clause_free_instance(tmp_path, capsys):
+    # m = 0 derives k = g = 1, which fails the condition, but a clause-free
+    # instance has nothing to violate: it is written, and rotates
+    out = tmp_path / "empty.json"
+    code = main(["gen", "--classical", "-n", "6", "-k", "3", "-m", "0",
+                 "-g", "2", "-o", str(out)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["m"] == 0
+    assert load_instance(out).m == 0
+    assert main(["gen", "--rotate", str(out), "-o", str(tmp_path / "r.json")]) == 0
+    assert load_instance(tmp_path / "r.json").m == 0
+
+
 @pytest.mark.parametrize("source", [[], ["--classical", "--rotate", "x.json"]])
 def test_gen_needs_one_source(tmp_path, source):
     with pytest.raises(SystemExit) as exc:
@@ -113,6 +126,24 @@ def test_run_parallel_matches_serial_per_backend(tmp_path, backend, instance):
               "--workers", workers, "-o", str(out)])
         outs.append(out.read_bytes())
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_run_trajectory_above_one_factor_cap(tmp_path, capsys):
+    # the trajectory cap bounds a factor, not n: 30 qubits in components of
+    # at most 6 run
+    base, rotated = tmp_path / "c.json", tmp_path / "r.json"
+    assert main(["gen", "--classical", "-n", "30", "-k", "3", "-m", "4",
+                 "-g", "2", "--seed", "3", "-o", str(base)]) == 0
+    assert main(["gen", "--rotate", str(base), "--seed", "4",
+                 "-o", str(rotated)]) == 0
+    assert load_instance(rotated).n == 30
+    out = tmp_path / "run.jsonl"
+    code = main(["run", str(rotated), "--backend", "trajectory", "--trials",
+                 "20", "--seed", "1", "--no-timing", "-o", str(out)])
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 20
+    assert all(r["max_energy"] <= 1e-8 for r in records if r["result"] == "Success")
 
 
 def test_verify_binom_exit_codes(tmp_path, capsys):
