@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import instances, solver, verifiers
+from . import backends, instances, solver, verifiers
 from .errors import QlllError
 from .solver import SolverConfig
 
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--trials", type=positive_int, default=100)
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--backend", default="diagonal",
-                      choices=["diagonal", "trajectory"])
+                      choices=sorted(backends.SAMPLING))
     runp.add_argument("--traversal", default="ascending",
                       choices=["ascending", "random"])
     runp.add_argument("--threshold", type=positive_int, default=None)

@@ -8,6 +8,7 @@ so nothing here ever performs that decomposition.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -138,6 +139,13 @@ class ProjectorSpec:
         return isinstance(self.body, Diagonal)
 
 
+def _conjugate(mat: np.ndarray, rotations) -> np.ndarray:
+    """U mat U^dagger for U the Kronecker product of the per-qubit rotations,
+    the first one on the most significant qubit."""
+    u = functools.reduce(np.kron, rotations, np.eye(1, dtype=complex))
+    return u @ mat @ u.conj().T
+
+
 def _materialize_body(body, k: int) -> np.ndarray:
     dim = 2 ** k
     if isinstance(body, Diagonal):
@@ -149,14 +157,10 @@ def _materialize_body(body, k: int) -> np.ndarray:
     if isinstance(body, Rotated):
         if len(body.rotations) != k:
             raise MalformedProjector("rotation count does not match support size")
-        inner = _materialize_body(body.inner, k)
-        u = np.eye(1, dtype=complex)
-        for rot in body.rotations:
-            rot = np.asarray(rot, dtype=complex)
-            if rot.shape != (2, 2):
-                raise MalformedProjector("rotations must be 2x2 matrices")
-            u = np.kron(u, rot)
-        return u @ inner @ u.conj().T
+        rotations = [np.asarray(rot, dtype=complex) for rot in body.rotations]
+        if any(rot.shape != (2, 2) for rot in rotations):
+            raise MalformedProjector("rotations must be 2x2 matrices")
+        return _conjugate(_materialize_body(body.inner, k), rotations)
     if isinstance(body, Explicit):
         mat = np.asarray(body.matrix, dtype=complex)
         if mat.shape != (dim, dim):
@@ -299,14 +303,12 @@ def pair_commutator_residual(a: ProjectorSpec, b: ProjectorSpec) -> float:
 
 
 def pair_residuals(projectors) -> dict:
-    """{(i, j): commutator residual} over every overlapping pair, i < j;
-    disjoint supports commute exactly and are left out."""
-    residuals = {}
-    for i, a in enumerate(projectors):
-        for j in range(i + 1, len(projectors)):
-            if set(a.support) & set(projectors[j].support):
-                residuals[(i, j)] = pair_commutator_residual(a, projectors[j])
-    return residuals
+    """{(i, j): commutator residual} over every overlapping pair, i < j, the
+    pairs compute_neighborhood finds; disjoint supports commute exactly and
+    are left out."""
+    neighborhood, _ = compute_neighborhood(projectors)
+    return {(i, j): pair_commutator_residual(projectors[i], projectors[j])
+            for i, nb in enumerate(neighborhood) for j in nb if j > i}
 
 
 def max_commutator_residual(projectors) -> float:
@@ -466,10 +468,7 @@ def rotate_instance(instance: Instance, seed=None, unitaries=None) -> Instance:
             body = Rotated(p.body.inner,
                            tuple(u @ r for u, r in zip(us, p.body.rotations)))
         else:
-            u = np.eye(1, dtype=complex)
-            for uq in us:
-                u = np.kron(u, uq)
-            body = Explicit(u @ p.materialize() @ u.conj().T)
+            body = Explicit(_conjugate(p.materialize(), us))
         rotated.append(ProjectorSpec(p.support, body))
     meta = dict(instance.meta)
     meta["rotated_seed"] = None if seed is None else int(seed)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConditionViolated
 from .instances import Instance, InstanceParams, check_qlll_condition
-from .backends import init_fully_mixed
+from .backends import SAMPLING, init_fully_mixed
 
 SATISFACTION_ATOL = 1e-8
 
@@ -36,7 +36,7 @@ class SolverConfig:
     seed: int = 0
     traversal: str = "ascending"        # neighborhood order: ascending | random
     threshold_override: int | None = None
-    backend: str = "trajectory"         # trajectory | diagonal
+    backend: str = "trajectory"         # a key of backends.SAMPLING
 
 
 @dataclass
@@ -182,7 +182,7 @@ def execute_fix_loop(instance, orders, threshold, state, on_leaf,
 
 def run(instance: Instance, config: SolverConfig) -> RunRecord:
     """One full execution of the solver on a sampling backend."""
-    if config.backend not in ("trajectory", "diagonal"):
+    if config.backend not in SAMPLING:
         raise ValueError(
             f"run() samples single executions; backend {config.backend!r} is "
             "enumeration-only (see verifiers.enumerate_history_tree)")

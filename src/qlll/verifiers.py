@@ -15,13 +15,14 @@ from a trajectory or bit-string state.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InsufficientTrials
 from .instances import Instance, InstanceParams, check_qlll_condition
-from .backends import (DensityState, DiagonalDistribution,
-                       shannon_entropy, von_neumann_entropy)
+from .backends import (ENUMERATING, DensityState, shannon_entropy,
+                       von_neumann_entropy)
 from .solver import (SolverConfig, compute_eta, compute_threshold,
                      derive_params, execute_fix_loop, neighborhood_orders)
 
@@ -32,7 +33,7 @@ ENTROPY_SLACK = 1e-9
 class HistoryNode:
     branch_string: tuple
     probability: float
-    state: object        # DensityState or DiagonalDistribution
+    state: object        # DensityState: enumerate_history_tree builds no other
     failures: int
     result: str          # "Success" | "Failure"
 
@@ -87,11 +88,7 @@ def enumerate_outcome_distribution(instance: Instance, threshold: int,
     unaffected); "diagonal" runs the classical-distribution state and is
     defined for diagonal instances only.
     """
-    if backend == "density":
-        root = DensityState(instance.n)
-    elif backend == "diagonal":
-        root = DiagonalDistribution(instance.n)
-    else:
+    if backend not in ENUMERATING:
         raise ValueError(f"unknown enumeration backend {backend!r}")
     dist = {}
 
@@ -99,7 +96,7 @@ def enumerate_outcome_distribution(instance: Instance, threshold: int,
         dist[branch_string] = dist.get(branch_string, 0.0) + probability
 
     execute_fix_loop(instance, neighborhood_orders(instance, "ascending", None),
-                     threshold, root, fold)
+                     threshold, ENUMERATING[backend](instance.n), fold)
     return dist
 
 
@@ -209,7 +206,10 @@ def check_threshold_inequality(k, g, r, delta, m_values) -> dict:
 
 def failure_probability_bound(k, g, r, m, threshold) -> float | None:
     """Analytic bound (log2 T + m) / (T * (k - log2(g e r))) on Pr(Failure);
+    0 for m = 0, where FIX measures nothing and cannot fail, and otherwise
     None when the local-lemma condition fails, where the paper gives none."""
+    if m == 0:
+        return 0.0
     check = check_qlll_condition(InstanceParams(k=k, r=r, g=g, m=m))
     if not check.satisfied:
         return None
@@ -218,27 +218,20 @@ def failure_probability_bound(k, g, r, m, threshold) -> float | None:
 
 def check_failure_bound(records, params: InstanceParams, delta: float,
                         threshold: int, min_trials: int = 100) -> dict:
-    """Empirical failure rate of a trial batch against the analytic bound and
-    the 3-sigma band around delta.  Without a bound (the condition fails)
+    """Empirical failure rate of a trial batch (dict records, as
+    solver.record_to_dict writes them) against the analytic bound and the
+    3-sigma band around delta.  Without a bound (the condition fails)
     analytic_bound is None and the check does not hold."""
     trials = len(records)
     if trials < min_trials:
         raise InsufficientTrials(f"need >= {min_trials} records, got {trials}")
 
-    def result_of(rec):
-        return rec["result"] if isinstance(rec, dict) else rec.result
-
-    def t_of(rec):
-        return rec["t"] if isinstance(rec, dict) else rec.failures_t
-
-    failures = sum(1 for rec in records if result_of(rec) == "Failure")
+    failures = sum(1 for rec in records if rec["result"] == "Failure")
     empirical = failures / trials
     bound = failure_probability_bound(params.k, params.g, params.r,
                                       params.m, threshold)
     band = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
-    histogram = {}
-    for rec in records:
-        histogram[t_of(rec)] = histogram.get(t_of(rec), 0) + 1
+    histogram = Counter(rec["t"] for rec in records)
     below = bound is not None and bound <= delta
     return {"claim": "failure_bound", "trials": trials,
             "empirical_failure_rate": empirical,

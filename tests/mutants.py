@@ -91,6 +91,17 @@ MUTANTS = [
     ("trajectory Born weight squared", "src/qlll/backends.py",
      "violated = int(self.rng.random() < p)",
      "violated = int(self.rng.random() < p * p)", False),
+    # killed by test_criterion_1_quantum_failure_rate first: the rotated
+    # fixture's bodies stop being projectors, so it no longer loads
+    ("local unitaries conjugated by the transpose", "src/qlll/instances.py",
+     "    return u @ mat @ u.conj().T", "    return u @ mat @ u.T", False),
+    # killed by TestNeighborhood's random pairwise test
+    ("each projector paired with itself", "src/qlll/instances.py",
+     "for j in nb if j > i}", "for j in nb if j >= i}", False),
+    # killed by test_run_clause_free_instance_passes first
+    ("no failure bound for a clause-free instance", "src/qlll/verifiers.py",
+     "    if m == 0:\n        return 0.0", "    if m == 0:\n        return None",
+     False),
 ]
 
 

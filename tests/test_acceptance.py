@@ -47,8 +47,7 @@ def _random_trees(count, threshold):
     for i in range(count):
         inst = random_instance(3, 2, 2, rank=1 + i % 2, seed=1000 + i,
                                commuting=i % 2 == 0)
-        config = SolverConfig(threshold_override=threshold,
-                              backend="density_enumerate")
+        config = SolverConfig(threshold_override=threshold)
         yield inst, enumerate_history_tree(inst, config)
 
 

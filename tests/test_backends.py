@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from qlll.backends import (
     BRANCH_PRUNE,
+    ENUMERATING,
+    SAMPLING,
     DensityState,
     DiagonalDistribution,
     DiagonalState,
     Outcome,
     TrajectoryState,
     _apply_local,
+    init_fully_mixed,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -23,6 +26,7 @@ from qlll.instances import (Diagonal, Explicit, ProjectorSpec, Rotated,
                             generate_classical_instance, haar_unitary_2x2,
                             rotate_instance)
 from qlll.solver import execute_fix_loop, neighborhood_orders
+from qlll.verifiers import enumerate_outcome_distribution
 
 
 def diag(support, *patterns):
@@ -64,6 +68,23 @@ class TestEntropies:
     def test_von_neumann_from_eigenvalues(self):
         rho = np.diag([0.5, 0.25, 0.25, 0.0])
         assert von_neumann_entropy(rho) == pytest.approx(1.5)
+
+
+class TestBackendTables:
+    def test_sampling_names_build_their_classes(self):
+        for name, cls in SAMPLING.items():
+            assert type(init_fully_mixed(name, 3, seed=0)) is cls
+        with pytest.raises(ValueError, match="^unknown backend 'density'$"):
+            init_fully_mixed("density", 3, seed=0)
+
+    def test_enumerating_names_give_a_law(self):
+        inst = generate_classical_instance(6, 3, 2, 2, seed=0)
+        for name in ENUMERATING:
+            law = enumerate_outcome_distribution(inst, 2, backend=name)
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="^unknown enumeration backend "
+                                             "'trajectory'$"):
+            enumerate_outcome_distribution(inst, 2, backend="trajectory")
 
 
 class TestInitFullyMixed:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import qlll
-from qlll.cli import main
+from qlll.backends import SAMPLING
+from qlll.cli import build_parser, main
 from qlll.instances import load_instance
 
 
@@ -144,6 +146,32 @@ def test_run_trajectory_above_one_factor_cap(tmp_path, capsys):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 20
     assert all(r["max_energy"] <= 1e-8 for r in records if r["result"] == "Success")
+
+
+@pytest.mark.parametrize("backend", ["diagonal", "trajectory"])
+def test_run_clause_free_instance_passes(tmp_path, capsys, backend):
+    # FIX measures nothing on m = 0, so every trial succeeds and the bound
+    # on Pr(Failure) is 0, although the derived k = g = 1 fail the condition
+    inst = tmp_path / "m0.json"
+    assert main(["gen", "--classical", "-n", "6", "-k", "3", "-m", "0",
+                 "-g", "2", "-o", str(inst)]) == 0
+    if backend == "trajectory":
+        assert main(["gen", "--rotate", str(inst), "-o", str(inst)]) == 0
+    capsys.readouterr()
+    code = main(["run", str(inst), "--trials", "5", "--backend", backend,
+                 "-o", str(tmp_path / "r.jsonl")])
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["success_rate"] == 1.0
+    assert summary["analytic_bound"] == 0.0
+    assert summary["pass"] is True
+    assert code == 0
+
+
+def test_run_backend_choices_are_the_sampling_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    backend, = (a for a in sub.choices["run"]._actions if a.dest == "backend")
+    assert backend.choices == sorted(SAMPLING)
 
 
 def test_verify_binom_exit_codes(tmp_path, capsys):

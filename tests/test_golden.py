@@ -70,7 +70,7 @@ def _history_trees():
         rank, commuting = 1 + i // 2, i % 2 == 0
         inst = random_instance(3, 2, 2, rank=rank, seed=40 + i,
                                commuting=commuting)
-        config = SolverConfig(threshold_override=2, backend="density_enumerate")
+        config = SolverConfig(threshold_override=2)
         for stock in (True, False):
             tree = enumerate_history_tree(inst, config, materialize_stock=stock)
             trees.append({

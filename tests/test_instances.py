@@ -23,6 +23,7 @@ from qlll.instances import (
     load_instance,
     max_commutator_residual,
     pair_commutator_residual,
+    pair_residuals,
     random_instance,
     rotate_instance,
     save_instance,
@@ -63,6 +64,13 @@ class TestNeighborhood:
                    for si in sets)
         return nb, max(max((len(x) for x in nb), default=1), 1)
 
+    @staticmethod
+    def overlapping_pairs(projectors):
+        # every (i, j), i < j, whose supports meet, in row-major order
+        sets = [set(p.support) for p in projectors]
+        return [(i, j) for i, si in enumerate(sets)
+                for j in range(i + 1, len(sets)) if si & sets[j]]
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_pairwise_definition_random(self, seed):
         rng = np.random.default_rng(seed)
@@ -74,6 +82,9 @@ class TestNeighborhood:
         assert compute_neighborhood(projectors) == self.pairwise(projectors)
         inst = random_instance(6, 2, 5, seed=seed, commuting=bool(seed % 2))
         assert compute_neighborhood(inst.projectors) == self.pairwise(inst.projectors)
+        # pair_residuals reads its pairs from the neighbourhood
+        for family in (projectors, inst.projectors):
+            assert list(pair_residuals(family)) == self.overlapping_pairs(family)
 
     @pytest.mark.parametrize("name", ["classical", "rotated"])
     def test_matches_pairwise_definition_fixtures(self, name):

@@ -144,10 +144,11 @@ class TestRun:
         assert any(list(o) != list(nb) for o, nb in zip(orders, inst.neighborhood)
                    if len(nb) >= 3)
 
-    def test_enumeration_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["density_enumerate", "density"])
+    def test_enumeration_backend_rejected(self, backend):
         inst = generate_classical_instance(6, 2, 2, 2, seed=0)
-        with pytest.raises(ValueError):
-            run(inst, SolverConfig(backend="density_enumerate"))
+        with pytest.raises(ValueError, match="enumeration-only"):
+            run(inst, SolverConfig(backend=backend))
 
     def test_condition_violated_without_override(self):
         inst = build_instance(2, [diag([0, 1], "00"), diag([0, 1], "01"),

@@ -18,7 +18,7 @@ from qlll.instances import (
     random_instance,
     rotate_instance,
 )
-from qlll.solver import SolverConfig, run
+from qlll.solver import SolverConfig, record_to_dict, run
 from qlll.verifiers import (
     check_binomial_inequality,
     check_entropy_claim,
@@ -40,7 +40,7 @@ def diag(support, *patterns):
 
 
 def enum_config(threshold):
-    return SolverConfig(threshold_override=threshold, backend="density_enumerate")
+    return SolverConfig(threshold_override=threshold)
 
 
 class TestHistoryTree:
@@ -342,6 +342,16 @@ class TestFailureBound:
             check_failure_bound([{"result": "Success", "t": 0}] * 10,
                                 InstanceParams(3, 1, 2, 2), 0.5, 72)
 
+    def test_clause_free_bound_is_zero(self):
+        # m = 0 derives k = g = 1, which fails the condition, but FIX
+        # measures nothing there, so Pr(Failure) = 0 exactly
+        assert failure_probability_bound(1, 1, 1, 0, 1) == 0.0
+        assert failure_probability_bound(1, 1, 1, 1, 1) is None
+        report = check_failure_bound([{"result": "Success", "t": 0}] * 100,
+                                     InstanceParams(1, 1, 1, 0), 0.25, 1)
+        assert report["analytic_bound"] == 0.0
+        assert report["bound_below_delta"] and report["holds"]
+
     def test_no_bound_when_condition_fails(self):
         # k=2, r=1, g=3: margin 2 - log2(3e) < 0, so the paper gives no bound
         assert failure_probability_bound(2, 3, 1, 5, 3) is None
@@ -363,8 +373,10 @@ class TestFailureBound:
 
     def test_histogram_emitted(self):
         inst = generate_classical_instance(9, 3, 3, 2, seed=0)
-        records = [run(inst, SolverConfig(delta=0.25, seed=s, backend="diagonal"))
-                   for s in range(120)]
+        records = []
+        for s in range(120):
+            record = run(inst, SolverConfig(delta=0.25, seed=s, backend="diagonal"))
+            records.append(record_to_dict(record, trial=s))
         from qlll.solver import derive_params
         derived = derive_params(inst, SolverConfig(delta=0.25))
         report = check_failure_bound(records, inst.params, 0.25,
